@@ -377,8 +377,8 @@ type (
 	// (schema version 1): answer payload, modal facets, completion and
 	// scatter summaries, and the completeness certificate.
 	AnswerEnvelope = serve.AnswerEnvelope
-	// AnswerRequest is the unified request body every answer route
-	// decodes: source, query, step budget and consistency mode.
+	// AnswerRequest is the request body of the five ps-query answer
+	// routes: source, query, step budget and consistency level.
 	AnswerRequest = serve.AnswerRequest
 )
 

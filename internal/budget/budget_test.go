@@ -143,3 +143,23 @@ func TestTri(t *testing.T) {
 		}
 	}
 }
+
+func TestCapSteps(t *testing.T) {
+	bg := context.Background()
+	for _, tc := range []struct {
+		name            string
+		configured, cap int64
+		want            int64
+	}{
+		{"no cap", 100, 0, 100},
+		{"cap below", 100, 10, 10},
+		{"cap above", 100, 1000, 100},
+		{"cap equal", 100, 100, 100},
+		{"unlimited configuration", 0, 50, 50},
+		{"unlimited, no cap", 0, 0, 0},
+	} {
+		if got := CapSteps(WithStepCap(bg, tc.cap), tc.configured); got != tc.want {
+			t.Errorf("%s: CapSteps(cap %d, configured %d) = %d, want %d", tc.name, tc.cap, tc.configured, got, tc.want)
+		}
+	}
+}

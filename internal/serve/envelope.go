@@ -2,9 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"net/http"
-	"strings"
 
+	"incxml/internal/budget"
 	"incxml/internal/certify"
 	"incxml/internal/query"
 	"incxml/internal/shard"
@@ -13,23 +12,21 @@ import (
 	"incxml/internal/xmlio"
 )
 
-// EnvelopeVersion is the current answer-envelope schema version. Version 0
-// is the legacy per-route ad-hoc shape, kept for one release behind ?v=0 or
-// an Accept-Version header and announced deprecated via the Deprecation
-// response header.
+// EnvelopeVersion is the answer-envelope schema version. It is the only
+// version served: a request naming another one (?v= or Accept-Version) is a
+// 400.
 const EnvelopeVersion = 1
 
 // AnswerEnvelope is the single versioned response shape of every answer
-// route (/explore, /local, /complete, /scatter/local, /scatter/complete):
-// one envelope, one encoder, instead of four hand-rolled renderers. Exactly
-// one of the optional sections is populated per route beyond Answer and
-// Completeness, which every route carries — an answer without a
-// completeness certificate no longer exists.
+// route: one envelope, built by one renderer (request.render). Beyond
+// Answer and Completeness, which every route answering with a document
+// carries, a route fills only the sections that describe its answer.
 type AnswerEnvelope struct {
 	// V is the schema version (EnvelopeVersion).
 	V int `json:"v"`
 	// Route names the answer route that produced the envelope: "explore",
-	// "local", "complete", "scatter_local" or "scatter_complete".
+	// "local", "complete", "scatter_local", "scatter_complete",
+	// "ext_query", "ext_reduction" or "scatter_ext".
 	Route string `json:"route"`
 	// Source is the source the answer is about; empty on scatter envelopes
 	// (the per-source breakdown lives in Scatter.Answers).
@@ -169,11 +166,6 @@ func completenessOf(c *certify.Certificate) *Completeness {
 	return out
 }
 
-// payloadOf renders an answer document into the envelope payload.
-func payloadOf(a tree.Tree, xml string) *AnswerPayload {
-	return &AnswerPayload{Nodes: a.Size(), XML: xml}
-}
-
 // facetsOf projects a local answer's facets.
 func facetsOf(la *webhouse.LocalAnswer) *LocalFacets {
 	return &LocalFacets{
@@ -188,211 +180,110 @@ func facetsOf(la *webhouse.LocalAnswer) *LocalFacets {
 	}
 }
 
-// envelopeLocal builds the /local envelope.
-func envelopeLocal(source string, la *webhouse.LocalAnswer) (*AnswerEnvelope, error) {
-	xml, err := xmlio.Marshal(la.Exact)
-	if err != nil {
-		return nil, err
-	}
-	return &AnswerEnvelope{
-		V:            EnvelopeVersion,
-		Route:        "local",
-		Source:       source,
-		Degraded:     la.BudgetExhausted,
-		Answer:       payloadOf(la.Exact, xml),
-		Local:        facetsOf(la),
-		Completeness: completenessOf(la.Certificate),
-	}, nil
+// decision is the domain answer of /ext/reduction: the decided kind and its
+// three-valued verdict.
+type decision struct {
+	kind    string
+	verdict budget.Tri
 }
 
-// envelopeComplete builds the /complete envelope.
-func envelopeComplete(source string, ca *webhouse.CompleteAnswer) (*AnswerEnvelope, error) {
-	xml, err := xmlio.Marshal(ca.Answer)
+// render is the one envelope renderer every execute ends in: it builds the
+// route's envelope from the domain answer a (or passes err on), taking
+// Degraded and Completeness from the answer itself, so route-level
+// consistency holds by construction.
+func (req *request) render(a any, err error) (*AnswerEnvelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &AnswerEnvelope{
-		V:            EnvelopeVersion,
-		Route:        "complete",
-		Source:       source,
-		Degraded:     ca.Degraded,
-		Answer:       payloadOf(ca.Answer, xml),
-		Completion:   &CompletionInfo{LocalQueries: ca.LocalQueries},
-		Completeness: completenessOf(ca.Certificate),
+	env := &AnswerEnvelope{V: EnvelopeVersion, Route: req.route}
+	switch a := a.(type) {
+	case *shard.Scatter:
+		env.Degraded, env.Completeness = a.Degraded(), completenessOf(a.Certificate)
+		env.Scatter, err = scatterOf(req.query, a.Health, a.Answers, func(sa shard.SourceAnswer) (string, int, any, error) {
+			if sa.Complete != nil {
+				return sa.Source, sa.Shard, sa.Complete, sa.Err
+			}
+			return sa.Source, sa.Shard, sa.Local, sa.Err
+		})
+	case *shard.ExtScatter:
+		env.Degraded = a.Degraded()
+		env.Scatter, err = scatterOf(req.query, a.Health, a.Answers, func(ea shard.ExtAnswer) (string, int, any, error) {
+			return ea.Source, ea.Shard, ea.Ext, ea.Err
+		})
+	case decision:
+		env.Degraded = !a.verdict.Known()
+		env.Extension = &ExtensionInfo{Class: a.kind, Tractable: true, Decision: a.verdict.String(), BudgetExhausted: env.Degraded}
+	default:
+		var se SourceEnvelope
+		se, err = entry(req.query, a)
+		env.Source, env.Degraded, env.Cause, env.Answer = req.source, se.Degraded, se.Cause, se.Answer
+		env.Local, env.Completion, env.Completeness, env.Extension = se.Local, se.Completion, se.Completeness, se.Extension
 	}
-	if ca.Degraded && ca.Cause != nil {
-		env.Cause = ca.Cause.Error()
-	}
-	if ca.Degraded && ca.Local != nil {
-		env.Local = facetsOf(ca.Local)
+	if err != nil {
+		return nil, err
 	}
 	return env, nil
 }
 
-// envelopeExplore builds the /explore envelope; an exploration that
-// succeeded returns the source's exact answer, so its certificate is full.
-func envelopeExplore(source string, q query.Query, a tree.Tree) (*AnswerEnvelope, error) {
-	xml, err := xmlio.Marshal(a)
-	if err != nil {
-		return nil, err
-	}
-	return &AnswerEnvelope{
-		V:            EnvelopeVersion,
-		Route:        "explore",
-		Source:       source,
-		Answer:       payloadOf(a, xml),
-		Completeness: completenessOf(certify.Exact(q, a)),
-	}, nil
-}
-
-// envelopeScatter builds the scatter envelopes (route "scatter_local" or
-// "scatter_complete").
-func envelopeScatter(route string, shards int, sc *shard.Scatter) (*AnswerEnvelope, error) {
-	info := &ScatterInfo{
-		Shards:         shards,
-		CompleteShards: sc.CompleteShards,
-		DegradedShards: sc.DegradedShards,
-		Answers:        make([]SourceEnvelope, 0, len(sc.Answers)),
-	}
-	for _, sa := range sc.Answers {
-		se := SourceEnvelope{
-			Source:       sa.Source,
-			Shard:        sa.Shard,
-			Degraded:     sa.Degraded(),
-			Completeness: completenessOf(sa.Certificate()),
+// scatterOf renders a scatter's shard health and per-source answers; pick
+// splits one answer into its source, shard, domain answer and hard failure.
+// Each answer goes through entry, the renderer of the single-source routes.
+func scatterOf[A any](q query.Query, h shard.Health, answers []A, pick func(A) (string, int, any, error)) (*ScatterInfo, error) {
+	info := &ScatterInfo{Shards: h.Shards, CompleteShards: h.CompleteShards, DegradedShards: h.DegradedShards,
+		Answers: make([]SourceEnvelope, 0, len(answers))}
+	for _, x := range answers {
+		source, sh, a, err := pick(x)
+		var se SourceEnvelope
+		if err != nil {
+			se = SourceEnvelope{Degraded: true, Error: err.Error(), Completeness: completenessOf(nil)}
+		} else if se, err = entry(q, a); err != nil {
+			return nil, err
 		}
-		switch {
-		case sa.Err != nil:
-			se.Error = sa.Err.Error()
-			se.Completeness = completenessOf(nil)
-		case sa.Complete != nil:
-			xml, err := xmlio.Marshal(sa.Complete.Answer)
-			if err != nil {
-				return nil, err
-			}
-			se.Answer = payloadOf(sa.Complete.Answer, xml)
-			se.Completion = &CompletionInfo{LocalQueries: sa.Complete.LocalQueries}
-			if sa.Complete.Degraded && sa.Complete.Cause != nil {
-				se.Cause = sa.Complete.Cause.Error()
-			}
-			if sa.Complete.Degraded && sa.Complete.Local != nil {
-				se.Local = facetsOf(sa.Complete.Local)
-			}
-		case sa.Local != nil:
-			xml, err := xmlio.Marshal(sa.Local.Exact)
-			if err != nil {
-				return nil, err
-			}
-			se.Answer = payloadOf(sa.Local.Exact, xml)
-			se.Local = facetsOf(sa.Local)
-		}
+		se.Source, se.Shard = source, sh
 		info.Answers = append(info.Answers, se)
 	}
-	return &AnswerEnvelope{
-		V:            EnvelopeVersion,
-		Route:        route,
-		Degraded:     sc.Degraded(),
-		Completeness: completenessOf(sc.Certificate),
-		Scatter:      info,
-	}, nil
+	return info, nil
 }
 
-// apiVersion negotiates the answer-envelope version of a request: ?v= wins,
-// then the Accept-Version header ("0"/"1", optionally "v"-prefixed); absent
-// both, the current version. Unknown versions are an error the caller maps
-// to a 400.
-func apiVersion(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("v")
-	if raw == "" {
-		raw = strings.TrimPrefix(strings.TrimSpace(r.Header.Get("Accept-Version")), "v")
-	}
-	switch raw {
-	case "":
-		return EnvelopeVersion, nil
-	case "0":
-		return 0, nil
-	case "1":
-		return 1, nil
+// entry renders one source's domain answer — an exploration's answer tree,
+// or a local, complete or extended answer — into the envelope sections it
+// contributes; Degraded and Completeness come from the answer itself.
+func entry(q query.Query, a any) (SourceEnvelope, error) {
+	var se SourceEnvelope
+	var doc tree.Tree
+	switch a := a.(type) {
+	case tree.Tree: // an exploration returns the source's exact answer
+		doc, se.Completeness = a, completenessOf(certify.Exact(q, a))
+	case *webhouse.LocalAnswer:
+		doc, se.Degraded, se.Local = a.Exact, a.BudgetExhausted, facetsOf(a)
+		se.Completeness = completenessOf(a.Certificate)
+	case *webhouse.CompleteAnswer:
+		doc, se.Degraded = a.Answer, a.Degraded
+		se.Completion = &CompletionInfo{LocalQueries: a.LocalQueries}
+		se.Completeness = completenessOf(a.Certificate)
+		if a.Degraded && a.Cause != nil {
+			se.Cause = a.Cause.Error()
+		}
+		if a.Degraded && a.Local != nil {
+			se.Local = facetsOf(a.Local)
+		}
+	case *webhouse.ExtendedAnswer:
+		doc, se.Degraded = a.Known, a.BudgetExhausted
+		se.Extension = &ExtensionInfo{
+			Class:           a.Class.String(),
+			Tractable:       a.Class.Tractable(),
+			ExactV:          a.ExactV.String(),
+			Exact:           a.Exact,
+			BudgetExhausted: a.BudgetExhausted,
+		}
+		se.Completeness = completenessOf(a.Certificate)
 	default:
-		return 0, fmt.Errorf("unknown API version %q (supported: 0, 1)", raw)
+		return se, fmt.Errorf("serve: no envelope rendering for %T", a)
 	}
-}
-
-// writeAnswer is the single answer encoder: version 1 writes the envelope
-// itself; version 0 writes the legacy per-route shape with a Deprecation
-// response header announcing its retirement.
-func writeAnswer(w http.ResponseWriter, version int, env *AnswerEnvelope) {
-	if version == 0 {
-		w.Header().Set("Deprecation", `version="v0"`)
-		writeJSON(w, legacyBody(env))
-		return
+	xml, err := xmlio.Marshal(doc)
+	if err != nil {
+		return se, err
 	}
-	writeJSON(w, env)
-}
-
-// legacyBody projects an envelope onto the pre-v1 per-route response shape
-// (the four hand-rolled renderers this package used to have, now derived
-// from the one envelope).
-func legacyBody(env *AnswerEnvelope) any {
-	switch env.Route {
-	case "explore":
-		return map[string]any{"nodes": env.Answer.Nodes, "answer": env.Answer.XML}
-	case "local":
-		return map[string]any{
-			"fully":             env.Local.Fully,
-			"fullyV":            env.Local.FullyV,
-			"certainlyNonEmpty": env.Local.CertainlyNonEmpty,
-			"possiblyNonEmpty":  env.Local.PossiblyNonEmpty,
-			"lossy":             env.Local.Lossy,
-			"budgetExhausted":   env.Local.BudgetExhausted,
-			"nodes":             env.Answer.Nodes,
-			"answer":            env.Answer.XML,
-		}
-	case "complete":
-		out := map[string]any{
-			"degraded":     env.Degraded,
-			"localQueries": env.Completion.LocalQueries,
-			"nodes":        env.Answer.Nodes,
-			"answer":       env.Answer.XML,
-		}
-		if env.Degraded && env.Cause != "" {
-			out["cause"] = env.Cause
-		}
-		return out
-	default: // scatter_local, scatter_complete
-		answers := make([]map[string]any, 0, len(env.Scatter.Answers))
-		for _, se := range env.Scatter.Answers {
-			entry := map[string]any{
-				"source":   se.Source,
-				"shard":    se.Shard,
-				"degraded": se.Degraded,
-			}
-			switch {
-			case se.Error != "":
-				entry["error"] = se.Error
-			case se.Completion != nil:
-				entry["nodes"] = se.Answer.Nodes
-				entry["answer"] = se.Answer.XML
-				entry["localQueries"] = se.Completion.LocalQueries
-				if se.Cause != "" {
-					entry["cause"] = se.Cause
-				}
-			case se.Local != nil:
-				entry["nodes"] = se.Answer.Nodes
-				entry["answer"] = se.Answer.XML
-				entry["fully"] = se.Local.Fully
-				entry["certainlyNonEmpty"] = se.Local.CertainlyNonEmpty
-				entry["possiblyNonEmpty"] = se.Local.PossiblyNonEmpty
-				entry["budgetExhausted"] = se.Local.BudgetExhausted
-			}
-			answers = append(answers, entry)
-		}
-		return map[string]any{
-			"shards":         env.Scatter.Shards,
-			"degraded":       env.Degraded,
-			"completeShards": env.Scatter.CompleteShards,
-			"degradedShards": env.Scatter.DegradedShards,
-			"answers":        answers,
-		}
-	}
+	se.Answer = &AnswerPayload{Nodes: doc.Size(), XML: xml}
+	return se, nil
 }

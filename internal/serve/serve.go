@@ -1,6 +1,6 @@
 // Package serve is the HTTP serving layer over a webhouse: admission
-// control, per-request deadlines, panic containment, and multi-source
-// routing.
+// control, per-request deadlines, panic containment, multi-source routing,
+// and one request pipeline for every answer route.
 //
 // The design goal is that the server stays responsive under any mix of
 // traffic — including Theorem 3.6 blow-up instances whose exact evaluation
@@ -23,6 +23,11 @@
 // deadline starts ticking while the request waits in the queue, so queue
 // time counts against the client's patience rather than extending it.
 //
+// Inside the middleware every POST answer route is a small spec (route)
+// run through one pipeline — decode | execute | render — so the body
+// limit, strict decoding, the step cap and the mapping of failures to
+// statuses exist once and cannot drift between routes.
+//
 // The server is also the process's observability surface (DESIGN.md
 // "Observability"): GET /metrics exposes the per-server obs registry —
 // which Includes the process-global families (engine pool, shared caches,
@@ -43,6 +48,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -373,25 +379,20 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Handler returns the HTTP handler: POST /explore, /local, /complete,
-// /scatter/local and /scatter/complete (body = a JSON AnswerRequest, or the
-// legacy raw ps-query text with an optional ?source=), GET /stats (JSON
-// counters) and GET /metrics (Prometheus text format). Every answer route
-// responds with the versioned AnswerEnvelope; ?v=0 (or Accept-Version: v0)
-// selects the deprecated legacy shapes. The answer endpoints run behind the
-// full middleware stack; /stats and /metrics bypass admission so they stay
-// observable under overload. When Config.Pprof is set the net/http/pprof
-// handlers are mounted under /debug/pprof/ on this mux.
+// Handler returns the HTTP handler: the eight POST answer routes (/explore,
+// /local, /complete, /scatter/local, /scatter/complete, /ext/query,
+// /ext/reduction and /scatter/ext; see routes), each answering with the
+// versioned AnswerEnvelope, plus GET /stats (JSON counters) and GET
+// /metrics (Prometheus text format). The answer routes run behind the full
+// middleware stack and the one request pipeline; /stats and /metrics
+// bypass admission so they stay observable under overload. When
+// Config.Pprof is set the net/http/pprof handlers are mounted under
+// /debug/pprof/ on this mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /explore", s.wrap("explore", s.handleExplore))
-	mux.HandleFunc("POST /local", s.wrap("local", s.handleLocal))
-	mux.HandleFunc("POST /complete", s.wrap("complete", s.handleComplete))
-	mux.HandleFunc("POST /scatter/local", s.wrap("scatter_local", s.handleScatterLocal))
-	mux.HandleFunc("POST /scatter/complete", s.wrap("scatter_complete", s.handleScatterComplete))
-	mux.HandleFunc("POST /ext/query", s.wrap("ext_query", s.handleExtQuery))
-	mux.HandleFunc("POST /ext/reduction", s.wrap("ext_reduction", s.handleExtReduction))
-	mux.HandleFunc("POST /scatter/ext", s.wrap("scatter_ext", s.handleScatterExt))
+	for _, rt := range s.routes() {
+		mux.HandleFunc("POST /"+strings.ReplaceAll(rt.name, "_", "/"), s.wrap(rt.name, s.pipeline(rt)))
+	}
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.cfg.Pprof {
@@ -455,14 +456,14 @@ func (s *Server) wrap(route string, h func(ctx context.Context, w http.ResponseW
 		defer func() {
 			if p := recover(); p != nil {
 				s.panics.Inc()
-				http.Error(rec, fmt.Sprintf("internal error: recovered panic: %v", p), http.StatusInternalServerError)
+				writeError(rec, http.StatusInternalServerError, fmt.Sprintf("internal error: recovered panic: %v", p), 0)
 			}
 			s.requests.With(route, strconv.Itoa(rec.Status())).Inc()
 			s.latency.With(route).Observe(time.Since(start).Microseconds())
 		}()
 		if s.draining.Load() {
 			s.shed.With("draining").Inc()
-			s.shedResponse(rec, r, http.StatusServiceUnavailable, "draining: server is shutting down")
+			s.shedResponse(rec, http.StatusServiceUnavailable, "draining: server is shutting down")
 			return
 		}
 		if hook := testHookPostDrainCheck; hook != nil {
@@ -485,7 +486,7 @@ func (s *Server) wrap(route string, h func(ctx context.Context, w http.ResponseW
 			}
 		}()
 		var ok bool
-		release, ok = s.admit(ctx, rec, r)
+		release, ok = s.admit(ctx, rec)
 		if hook := testHookPostAdmit; ok && hook != nil {
 			hook()
 		}
@@ -507,7 +508,7 @@ func (s *Server) wrap(route string, h func(ctx context.Context, w http.ResponseW
 // admit acquires an execution slot, waiting within the request deadline if
 // the queue has room. On rejection it writes the shed response and returns
 // ok=false; on success the caller must invoke release.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (release func(), ok bool) {
 	select {
 	case s.sem <- struct{}{}:
 		return func() { <-s.sem }, true
@@ -516,7 +517,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 	if s.waiting.Add(1) > int64(s.cfg.Queue) {
 		s.waiting.Add(-1)
 		s.shed.With("queue_full").Inc()
-		s.shedResponse(w, r, http.StatusTooManyRequests, "overloaded: wait queue full")
+		s.shedResponse(w, http.StatusTooManyRequests, "overloaded: wait queue full")
 		return nil, false
 	}
 	defer s.waiting.Add(-1)
@@ -525,7 +526,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 		return func() { <-s.sem }, true
 	case <-ctx.Done():
 		s.shed.With("wait_timeout").Inc()
-		s.shedResponse(w, r, http.StatusServiceUnavailable, "overloaded: deadline expired waiting for a slot")
+		s.shedResponse(w, http.StatusServiceUnavailable, "overloaded: deadline expired waiting for a slot")
 		return nil, false
 	}
 }
@@ -535,26 +536,21 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 // duration is rounded UP to whole seconds: truncation would tell a client
 // of a 1.5s-timeout server to retry after 1s, while the requests that got
 // it shed may hold their slots for up to 1.5s more — inviting a second
-// shed instead of a successful retry. The body uses the negotiated error
-// envelope (JSON on v1, plain text on v0), mirroring the header hint.
-func (s *Server) shedResponse(w http.ResponseWriter, r *http.Request, code int, msg string) {
+// shed instead of a successful retry. The body is the error envelope,
+// mirroring the header hint.
+func (s *Server) shedResponse(w http.ResponseWriter, code int, msg string) {
 	retry := int((s.cfg.Timeout + time.Second - 1) / time.Second)
 	if retry < 1 {
 		retry = 1
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
-	version, err := apiVersion(r)
-	if err != nil {
-		version = EnvelopeVersion
-	}
-	writeError(w, version, code, msg, retry)
+	writeError(w, code, msg, retry)
 }
 
-// fail maps serving errors to HTTP statuses: deadline and budget-deadline
-// exhaustion become 504, source unavailability 503, unknown sources 404,
-// everything else 500. The body is the shared error envelope in the
-// negotiated version.
-func fail(w http.ResponseWriter, version int, err error) {
+// fail maps an execute error to its HTTP status: deadline and
+// budget-deadline exhaustion become 504, source unavailability 503, unknown
+// sources 404, everything else 500. The body is the error envelope.
+func fail(w http.ResponseWriter, err error) {
 	var be *budget.Error
 	status := http.StatusInternalServerError
 	switch {
@@ -567,7 +563,7 @@ func fail(w http.ResponseWriter, version int, err error) {
 	case errors.Is(err, webhouse.ErrUnknownSource):
 		status = http.StatusNotFound
 	}
-	writeError(w, version, status, err.Error(), 0)
+	writeError(w, status, err.Error(), 0)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -575,109 +571,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func (s *Server) handleExplore(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	req, q, version, ok := s.decodeAnswer(w, r, "explore")
-	if !ok {
-		return
-	}
-	ctx = budget.WithStepCap(ctx, req.Budget)
-	a, err := s.cluster.Explore(ctx, req.Source, q)
-	if err != nil {
-		fail(w, version, err)
-		return
-	}
-	env, err := envelopeExplore(req.Source, q, a)
-	if err != nil {
-		fail(w, version, err)
-		return
-	}
-	writeAnswer(w, version, env)
-}
-
-func (s *Server) handleLocal(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	req, q, version, ok := s.decodeAnswer(w, r, "local")
-	if !ok {
-		return
-	}
-	ctx = budget.WithStepCap(ctx, req.Budget)
-	la, err := s.cluster.AnswerLocally(ctx, req.Source, q)
-	if err != nil {
-		fail(w, version, err)
-		return
-	}
-	env, err := envelopeLocal(req.Source, la)
-	if err != nil {
-		fail(w, version, err)
-		return
-	}
-	writeAnswer(w, version, env)
-}
-
-func (s *Server) handleComplete(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	req, q, version, ok := s.decodeAnswer(w, r, "complete")
-	if !ok {
-		return
-	}
-	ctx = budget.WithStepCap(ctx, req.Budget)
-	ca, err := s.cluster.AnswerComplete(ctx, req.Source, q)
-	if err != nil {
-		fail(w, version, err)
-		return
-	}
-	env, err := envelopeComplete(req.Source, ca)
-	if err != nil {
-		fail(w, version, err)
-		return
-	}
-	writeAnswer(w, version, env)
-}
-
-// handleScatterComplete answers the posted query completely on every
-// registered source, fanned out one sub-request per shard. A down shard
-// degrades its own sources (flagged per answer and in degradedShards) —
-// the response is still 200; only a dead deadline or a solver error fails
-// the whole scatter. The scatter-wide certificate intersects the per-source
-// ones, so sources behind a dead shard drop out of the complete sub-query.
-func (s *Server) handleScatterComplete(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	req, q, version, ok := s.decodeAnswer(w, r, "scatter_complete")
-	if !ok {
-		return
-	}
-	ctx = budget.WithStepCap(ctx, req.Budget)
-	sc, err := s.cluster.ScatterComplete(ctx, q)
-	if err != nil {
-		fail(w, version, err)
-		return
-	}
-	env, err := envelopeScatter("scatter_complete", s.cluster.Shards(), sc)
-	if err != nil {
-		fail(w, version, err)
-		return
-	}
-	writeAnswer(w, version, env)
-}
-
-// handleScatterLocal answers from local knowledge on every source; no
-// source is contacted.
-func (s *Server) handleScatterLocal(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	req, q, version, ok := s.decodeAnswer(w, r, "scatter_local")
-	if !ok {
-		return
-	}
-	ctx = budget.WithStepCap(ctx, req.Budget)
-	sc, err := s.cluster.ScatterLocal(ctx, q)
-	if err != nil {
-		fail(w, version, err)
-		return
-	}
-	env, err := envelopeScatter("scatter_local", s.cluster.Shards(), sc)
-	if err != nil {
-		fail(w, version, err)
-		return
-	}
-	writeAnswer(w, version, env)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -45,6 +45,8 @@ func (ea ExtAnswer) Degraded() bool {
 	return ea.Err != nil || (ea.Ext != nil && ea.Ext.BudgetExhausted)
 }
 
+func (ea ExtAnswer) source() string { return ea.Source }
+
 // ExtScatter is the gathered result of a cluster-wide extended query: one
 // answer per registered source, sorted by source name, plus the per-shard
 // health classification. Extended queries carry no scatter-wide merged
@@ -52,13 +54,9 @@ func (ea ExtAnswer) Degraded() bool {
 // (Section 4), so per-source certificates (present when Corollary 3.15
 // applied through a covering ps-query) do not intersect meaningfully.
 type ExtScatter struct {
-	Answers        []ExtAnswer
-	CompleteShards []int
-	DegradedShards []int
+	Answers []ExtAnswer
+	Health
 }
-
-// Degraded reports whether any shard degraded.
-func (s *ExtScatter) Degraded() bool { return len(s.DegradedShards) > 0 }
 
 // ByName returns the answer for a source, or nil.
 func (s *ExtScatter) ByName(source string) *ExtAnswer {
@@ -69,62 +67,19 @@ func (s *ExtScatter) ByName(source string) *ExtAnswer {
 	return nil
 }
 
-// ScatterExtended evaluates an extended query on every registered source,
-// parallel across shards and sequential within one, with the same plan-
-// snapshot and barrier semantics as ScatterLocal: only a dead context
-// aborts the whole call, per-source budget exhaustion degrades that
-// source's shard.
+// ScatterExtended evaluates an extended query on every registered source
+// through the same fan-out core as ScatterLocal: only a dead context aborts
+// the whole call, per-source budget exhaustion degrades that source's shard.
 func (c *Cluster) ScatterExtended(ctx context.Context, q extquery.Query) (*ExtScatter, error) {
-	if err := ctx.Err(); err != nil {
+	answers, health, err := fanOut(ctx, c, true, func(g *Group, src string) ExtAnswer {
+		ea := ExtAnswer{Source: src, Shard: g.id, Err: ctx.Err()}
+		if ea.Err == nil {
+			ea.Ext, ea.Err = g.extOne(ctx, src, q)
+		}
+		return ea
+	})
+	if err != nil {
 		return nil, err
 	}
-	type shardPlan struct {
-		g    *Group
-		srcs []string
-	}
-	var plan []shardPlan
-	for _, g := range c.groups {
-		if srcs := g.Sources(); len(srcs) > 0 {
-			plan = append(plan, shardPlan{g, srcs})
-		}
-	}
-	results := make([][]ExtAnswer, len(plan))
-	run := func(pi int) {
-		p := plan[pi]
-		out := make([]ExtAnswer, 0, len(p.srcs))
-		for _, src := range p.srcs {
-			ea := ExtAnswer{Source: src, Shard: p.g.id}
-			if err := ctx.Err(); err != nil {
-				ea.Err = err
-			} else {
-				ea.Ext, ea.Err = p.g.extOne(ctx, src, q)
-			}
-			out = append(out, ea)
-		}
-		results[pi] = out
-	}
-	if err := c.scatterPool.Each(ctx, len(plan), run); err != nil {
-		return nil, err
-	}
-	s := &ExtScatter{}
-	for pi, p := range plan {
-		shardOK := true
-		for _, ea := range results[pi] {
-			if ea.Degraded() {
-				shardOK = false
-			}
-			s.Answers = append(s.Answers, ea)
-		}
-		if shardOK {
-			s.CompleteShards = append(s.CompleteShards, p.g.id)
-		} else {
-			s.DegradedShards = append(s.DegradedShards, p.g.id)
-		}
-	}
-	sort.Slice(s.Answers, func(i, j int) bool { return s.Answers[i].Source < s.Answers[j].Source })
-	c.scatters.Add(1)
-	if s.Degraded() {
-		c.scatterDegraded.Add(1)
-	}
-	return s, nil
+	return &ExtScatter{Answers: answers, Health: health}, nil
 }

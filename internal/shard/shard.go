@@ -465,16 +465,26 @@ func (sa SourceAnswer) Degraded() bool {
 	return false
 }
 
-// Scatter is the gathered result of a cluster-wide query: one answer per
-// registered source, sorted by source name, plus the per-shard health
-// classification the serving layer reports to clients.
-type Scatter struct {
-	Answers []SourceAnswer
+// Health is the per-shard classification every scatter reports to clients.
+type Health struct {
+	// Shards is the cluster's shard count.
+	Shards int
 	// CompleteShards lists shards whose every source answered exactly;
 	// DegradedShards those with at least one degraded or failed source.
 	// Shards with no sources appear in neither. Both are sorted.
 	CompleteShards []int
 	DegradedShards []int
+}
+
+// Degraded reports whether any shard degraded.
+func (h Health) Degraded() bool { return len(h.DegradedShards) > 0 }
+
+// Scatter is the gathered result of a cluster-wide query: one answer per
+// registered source, sorted by source name, plus the per-shard health
+// classification.
+type Scatter struct {
+	Answers []SourceAnswer
+	Health
 	// Certificate is the scatter-wide completeness certificate: the
 	// intersection of the per-source certified sub-queries (certify.Merge),
 	// with each source's own ratio in PerSource. A hard-failed source — a
@@ -482,9 +492,6 @@ type Scatter struct {
 	// its atoms drop out of the complete sub-query.
 	Certificate *certify.Certificate
 }
-
-// Degraded reports whether any shard degraded.
-func (s *Scatter) Degraded() bool { return len(s.DegradedShards) > 0 }
 
 // ByName returns the answer for a source, or nil.
 func (s *Scatter) ByName(source string) *SourceAnswer {
@@ -519,69 +526,21 @@ func (c *Cluster) ScatterLocal(ctx context.Context, q query.Query) (*Scatter, er
 }
 
 func (c *Cluster) scatter(ctx context.Context, q query.Query, local, parallel bool) (*Scatter, error) {
-	if err := ctx.Err(); err != nil {
+	answers, health, err := fanOut(ctx, c, parallel, func(g *Group, src string) SourceAnswer {
+		sa := SourceAnswer{Source: src, Shard: g.id, Err: ctx.Err()}
+		switch {
+		case sa.Err != nil:
+		case local:
+			sa.Local, sa.Err = g.localOne(ctx, src, q)
+		default:
+			sa.Complete, sa.Err = g.completeOne(ctx, src, q)
+		}
+		return sa
+	})
+	if err != nil {
 		return nil, err
 	}
-	// Snapshot the per-shard source lists up front: sources registered mid-
-	// scatter are not part of this plan.
-	type shardPlan struct {
-		g    *Group
-		srcs []string
-	}
-	var plan []shardPlan
-	for _, g := range c.groups {
-		if srcs := g.Sources(); len(srcs) > 0 {
-			plan = append(plan, shardPlan{g, srcs})
-		}
-	}
-	results := make([][]SourceAnswer, len(plan))
-	run := func(pi int) {
-		p := plan[pi]
-		out := make([]SourceAnswer, 0, len(p.srcs))
-		for _, src := range p.srcs {
-			sa := SourceAnswer{Source: src, Shard: p.g.id}
-			if err := ctx.Err(); err != nil {
-				sa.Err = err
-			} else if local {
-				sa.Local, sa.Err = p.g.localOne(ctx, src, q)
-			} else {
-				sa.Complete, sa.Err = p.g.completeOne(ctx, src, q)
-			}
-			out = append(out, sa)
-		}
-		results[pi] = out
-	}
-	if parallel {
-		// Pool.Each is a barrier; a non-nil return means the context died
-		// and at least one shard was never visited — the scatter is
-		// incomplete and must error rather than report a partial cluster.
-		if err := c.scatterPool.Each(ctx, len(plan), run); err != nil {
-			return nil, err
-		}
-	} else {
-		for pi := range plan {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			run(pi)
-		}
-	}
-	s := &Scatter{}
-	for pi, p := range plan {
-		shardOK := true
-		for _, sa := range results[pi] {
-			if sa.Degraded() {
-				shardOK = false
-			}
-			s.Answers = append(s.Answers, sa)
-		}
-		if shardOK {
-			s.CompleteShards = append(s.CompleteShards, p.g.id)
-		} else {
-			s.DegradedShards = append(s.DegradedShards, p.g.id)
-		}
-	}
-	sort.Slice(s.Answers, func(i, j int) bool { return s.Answers[i].Source < s.Answers[j].Source })
+	s := &Scatter{Answers: answers, Health: health}
 	// Merge the per-source certificates into the scatter-wide one. The merge
 	// re-verifies the intersected sub-query against each source's knowledge
 	// snapshot under its own bounded budget (the configured per-request
@@ -602,11 +561,79 @@ func (c *Cluster) scatter(ctx context.Context, q query.Query, local, parallel bo
 		steps = mergeFallbackSteps
 	}
 	s.Certificate = certify.Merge(q, perSource, knows, budget.New(ctx, steps))
+	return s, nil
+}
+
+// scatterAnswer is what the fan-out core needs of a per-source answer.
+type scatterAnswer interface {
+	Degraded() bool
+	source() string
+}
+
+func (sa SourceAnswer) source() string { return sa.Source }
+
+// fanOut is the scatter core every cluster-wide query shares. It snapshots
+// the per-shard source lists up front (sources registered mid-scatter are
+// not part of the plan), answers each source with one — parallel across
+// shards on the scatter pool when parallel is set, always sequential within
+// a shard — classifies each shard, sorts the answers by source name and
+// counts the scatter. Only a dead context fails the whole call.
+func fanOut[A scatterAnswer](ctx context.Context, c *Cluster, parallel bool, one func(g *Group, src string) A) ([]A, Health, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, Health{}, err
+	}
+	var groups []*Group
+	var plan [][]string
+	for _, g := range c.groups {
+		if srcs := g.Sources(); len(srcs) > 0 {
+			groups, plan = append(groups, g), append(plan, srcs)
+		}
+	}
+	results := make([][]A, len(plan))
+	run := func(i int) {
+		out := make([]A, 0, len(plan[i]))
+		for _, src := range plan[i] {
+			out = append(out, one(groups[i], src))
+		}
+		results[i] = out
+	}
+	if parallel {
+		// Pool.Each is a barrier; a non-nil return means the context died
+		// and at least one shard was never visited — the scatter is
+		// incomplete and must error rather than report a partial cluster.
+		if err := c.scatterPool.Each(ctx, len(plan), run); err != nil {
+			return nil, Health{}, err
+		}
+	} else {
+		for i := range plan {
+			if err := ctx.Err(); err != nil {
+				return nil, Health{}, err
+			}
+			run(i)
+		}
+	}
+	h := Health{Shards: c.Shards()}
+	var answers []A
+	for i, g := range groups {
+		shardOK := true
+		for _, a := range results[i] {
+			if a.Degraded() {
+				shardOK = false
+			}
+		}
+		if shardOK {
+			h.CompleteShards = append(h.CompleteShards, g.id)
+		} else {
+			h.DegradedShards = append(h.DegradedShards, g.id)
+		}
+		answers = append(answers, results[i]...)
+	}
+	sort.Slice(answers, func(i, j int) bool { return answers[i].source() < answers[j].source() })
 	c.scatters.Add(1)
-	if s.Degraded() {
+	if h.Degraded() {
 		c.scatterDegraded.Add(1)
 	}
-	return s, nil
+	return answers, h, nil
 }
 
 // Scatters reports the number of scatters run and how many of them had at

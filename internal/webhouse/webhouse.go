@@ -263,11 +263,7 @@ func (wh *Webhouse) newBudget(ctx context.Context) *budget.B {
 // allowance: the smaller of the two wins (a cap on an unlimited server
 // simply applies).
 func (wh *Webhouse) effectiveSteps(ctx context.Context) int64 {
-	steps := wh.budgetSteps.Load()
-	if cap, ok := budget.StepCapFromContext(ctx); ok && cap > 0 && (steps <= 0 || cap < steps) {
-		steps = cap
-	}
-	return steps
+	return budget.CapSteps(ctx, wh.budgetSteps.Load())
 }
 
 // Register adds a source, initializing its knowledge to the source's tree

@@ -20,6 +20,11 @@ go build ./...
 go test ./...
 go test -race ./...
 
+# The benchmark harness is its own module (bench/go.mod), so `go test ./...`
+# never compiles it. Build and smoke-test it here, so a serving-layer change
+# that breaks serve.RequestForOp or serve.Config fails the gate (~5 s).
+(cd bench && go test .)
+
 # E20 smoke (EXPERIMENTS.md): the metrics/tracing pipeline must not cost
 # more than 5% of p99 serving latency. Short mode keeps the gate fast;
 # cmd/benchrobust produces the full-size numbers.
