@@ -105,6 +105,20 @@ func TestExtQueryRoute(t *testing.T) {
 			t.Errorf("%s: exact answer without a completeness section", tc.name)
 		}
 	}
+
+	// A request without a source takes it from ?source=, as on every
+	// non-scatter route.
+	rec := post(t, h, "/ext/query?source=blowup", extBody(t, ExtRequestOf("", branchingExtQuery(), 0)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("?source=blowup: %d %s", rec.Code, rec.Body.String())
+	}
+	var m map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m["source"] != "blowup" {
+		t.Errorf("?source=blowup answered for %v", m["source"])
+	}
 }
 
 // TestExtQueryVerdictNeverWrongUnderBudget: under heavy step starvation
