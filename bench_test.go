@@ -7,18 +7,14 @@
 package incxml
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"incxml/internal/answer"
 	"incxml/internal/cfg"
-	"incxml/internal/cond"
 	"incxml/internal/conj"
 	"incxml/internal/ctype"
 	"incxml/internal/dtd"
-	"incxml/internal/engine"
 	"incxml/internal/extquery"
 	"incxml/internal/itree"
 	"incxml/internal/mediator"
@@ -578,96 +574,4 @@ func BenchmarkAblationConditionNormalForm(b *testing.B) {
 			_ = c.And(d)
 		}
 	})
-}
-
-// --- E18: parallel evaluation engine — sequential vs pooled solvers -------
-
-// hardEmptyConj builds a conjunctive incomplete tree with 2^k certificates,
-// none satisfiable: the root's CNF has one conjunct forcing a child typed c
-// (value 3) plus k conjuncts each choosing between a (value 1) and b
-// (value 2), all over the same child label, so every certificate's k-way
-// join carries a contradictory condition. The reference EmptySequential
-// scans all 2^k certificates; the pruned search (Empty/EmptyPool) memoizes
-// joins and productivity across digit assignments.
-func hardEmptyConj(k int) *conj.T {
-	t := conj.New()
-	t.Sigma["r"] = ctype.LabelTarget("r")
-	t.Sigma["c"] = ctype.LabelTarget("x")
-	t.Cond["c"] = cond.EqInt(3)
-	t.Sigma["a"] = ctype.LabelTarget("x")
-	t.Cond["a"] = cond.EqInt(1)
-	t.Sigma["b"] = ctype.LabelTarget("x")
-	t.Cond["b"] = cond.EqInt(2)
-	cnf := conj.CNF{ctype.Disj{ctype.SAtom{{Sym: "c", Mult: dtd.One}}}}
-	for i := 0; i < k; i++ {
-		cnf = append(cnf, ctype.Disj{
-			ctype.SAtom{{Sym: "a", Mult: dtd.One}},
-			ctype.SAtom{{Sym: "b", Mult: dtd.One}},
-		})
-	}
-	t.Mu["r"] = cnf
-	t.Roots = []conj.RootChoice{{"r"}}
-	return t
-}
-
-// BenchmarkE18ParallelSpeedup compares the sequential solvers against the
-// engine-backed ones at 1, 2 and NumCPU workers. Since the E21 raw-speed
-// pass, emptiness/workers=N measures the pruned certificate search (the
-// pool no longer fans certificates out — pruning beats parallelism by
-// orders of magnitude, see EXPERIMENTS.md E21), so the emptiness series
-// contrasts the reference 2^k scan with the pruned search at identical
-// verdicts. The enumeration series still exercises the pool fan-out.
-func BenchmarkE18ParallelSpeedup(b *testing.B) {
-	ctx := context.Background()
-	workers := []int{1, 2, runtime.NumCPU()}
-
-	hard := hardEmptyConj(12)
-	b.Run("emptiness/sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !hard.EmptySequential() {
-				b.Fatal("hard instance not empty")
-			}
-		}
-	})
-	for _, w := range workers {
-		p := engine.NewPool(w)
-		b.Run(fmt.Sprintf("emptiness/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if !hard.EmptyPool(ctx, p) {
-					b.Fatal("hard instance not empty")
-				}
-			}
-		})
-	}
-
-	world := workload.BlowupWorld()
-	c := conj.FromITree(refine.Universal(workload.BlowupSigma))
-	for _, q := range workload.BlowupWorkload(3) {
-		if err := c.RefinePlus(q, q.Eval(world), workload.BlowupSigma); err != nil {
-			b.Fatal(err)
-		}
-	}
-	it, err := c.ToITree()
-	if err != nil {
-		b.Fatal(err)
-	}
-	bounds := itree.Bounds{
-		Values:    []rat.Rat{rat.FromInt(0), rat.FromInt(1)},
-		MaxRepeat: 1,
-		MaxDepth:  4,
-		MaxTrees:  50000,
-	}
-	b.Run("enumerate/sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			it.Enumerate(bounds)
-		}
-	})
-	for _, w := range workers {
-		p := engine.NewPool(w)
-		b.Run(fmt.Sprintf("enumerate/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				it.EnumerateParallel(ctx, p, bounds)
-			}
-		})
-	}
 }

@@ -78,7 +78,6 @@ import (
 	"incxml/internal/conj"
 	"incxml/internal/ctype"
 	"incxml/internal/dtd"
-	"incxml/internal/engine"
 	"incxml/internal/faulty"
 	"incxml/internal/obs"
 	"incxml/internal/refine"
@@ -280,7 +279,6 @@ func main() {
 func benchEmptiness(maxN int, steps int64) []emptinessRow {
 	world := workload.BlowupWorld()
 	t := conj.FromITree(refine.Universal(workload.BlowupSigma))
-	pool := engine.Default()
 	rows := make([]emptinessRow, 0, maxN)
 	for n := 1; n <= maxN; n++ {
 		q := workload.BlowupQuery(int64(n))
@@ -291,13 +289,20 @@ func benchEmptiness(maxN int, steps int64) []emptinessRow {
 
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		start := time.Now()
-		empty := t.EmptyPool(ctx, pool)
+		exact, err := t.EmptyBudgeted(ctx, nil)
 		exactMs := msSince(start)
 		cancel()
+		if err != nil {
+			// A timed-out exact scan has no verdict: fail rather than
+			// record it as empty.
+			fmt.Fprintf(os.Stderr, "exact emptiness at n=%d: %v\n", n, err)
+			os.Exit(1)
+		}
+		empty := exact == budget.Yes
 
 		bud := budget.New(context.Background(), steps)
 		start = time.Now()
-		verdict, _ := t.EmptyBudgeted(context.Background(), pool, bud)
+		verdict, _ := t.EmptyBudgeted(context.Background(), bud)
 		budgetedMs := msSince(start)
 
 		rows = append(rows, emptinessRow{
@@ -491,7 +496,7 @@ func benchE21(maxN int, steps int64, hardK int) e21Report {
 			os.Exit(1)
 		}
 		bud := budget.New(context.Background(), steps)
-		verdict, _ := t.EmptyBudgeted(context.Background(), nil, bud)
+		verdict, _ := t.EmptyBudgeted(context.Background(), bud)
 		rep.Blowup = append(rep.Blowup, e21Row{N: n, Verdict: verdict.String(), Steps: bud.Used()})
 		if verdict == budget.Unknown && rep.CrossoverN == 0 {
 			rep.CrossoverN = n
@@ -787,8 +792,9 @@ func benchE23(rounds int) e23Report {
 	return rep
 }
 
-// hardEmptyConj mirrors the E18/E21 benchmark fixture: 2^k certificates,
-// none satisfiable, so emptiness must exhaust the space.
+// hardEmptyConj mirrors the E21 benchmark fixture (hardEmptyInstance in
+// package conj's tests): 2^k certificates, none satisfiable, so emptiness
+// must exhaust the space.
 func hardEmptyConj(k int) *conj.T {
 	t := conj.New()
 	t.Sigma["r"] = ctype.LabelTarget("r")

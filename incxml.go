@@ -264,12 +264,11 @@ var (
 	ErrSourceTransient = faulty.ErrTransient
 )
 
-// The parallel evaluation engine. The NP-hard solvers (conjunctive
-// emptiness, bounded enumeration) accept a worker pool; throughput scales
-// with GOMAXPROCS through DefaultEnginePool.
+// Serving-layer observability. The NP-hard solvers (conjunctive emptiness,
+// bounded enumeration) are single-threaded pruned searches; the engine's
+// worker pool only fans out the webhouse's local-answer facets and
+// completion sub-requests, and its counters surface in WebhouseStats.
 type (
-	// EnginePool is a bounded worker pool with early cancellation.
-	EnginePool = engine.Pool
 	// EngineStats reports pool utilization counters.
 	EngineStats = engine.Stats
 	// CacheStats reports hit/miss/eviction counters of a shared cache.
@@ -285,11 +284,6 @@ type (
 )
 
 var (
-	// NewEnginePool builds a pool with the given worker count (<=0 means
-	// GOMAXPROCS).
-	NewEnginePool = engine.NewPool
-	// DefaultEnginePool is the process-wide pool sized by GOMAXPROCS.
-	DefaultEnginePool = engine.Default
 	// MembershipCacheStats reports the shared membership/prefix cache.
 	MembershipCacheStats = itree.CacheStats
 	// DecisionCacheStats reports the query-decision cache.

@@ -378,11 +378,11 @@ func MatchSets(w *itree.T, q query.Query) (poss, cert map[PathKey]bool) {
 // symbol carries missing (non-data-node) information; additionally the
 // answer must not be able to silently drop data nodes or become empty while
 // the data tree still matches.
-// Results are memoized per (T, q) in a shared bounded cache (cache.go).
+// Results are memoized per (T, q) in a shared bounded cache (cache.go). It
+// is FullyAnswerableBudgeted with a nil budget.
 func FullyAnswerable(it *itree.T, q query.Query) (bool, error) {
-	return cachedDecision(it, q, kindFully, func() (bool, error) {
-		return fullyAnswerable(it, q, nil)
-	})
+	v, err := FullyAnswerableBudgeted(it, q, nil)
+	return v == budget.Yes, err
 }
 
 func fullyAnswerable(it *itree.T, q query.Query, bud *budget.B) (bool, error) {
@@ -461,28 +461,16 @@ func PossibleAnswerPrefix(it *itree.T, q query.Query, t tree.Tree) (bool, error)
 
 // PossiblyNonEmpty reports whether q(T) ≠ ∅ for some T ∈ rep(T)
 // (Corollary 3.18). Used by mediators to decide whether a source possibly
-// holds information relevant to q.
+// holds information relevant to q. It is PossiblyNonEmptyBudgeted with a nil
+// budget.
 func PossiblyNonEmpty(it *itree.T, q query.Query) (bool, error) {
-	return cachedDecision(it, q, kindPossiblyNonEmpty, func() (bool, error) {
-		ans, err := Apply(it, q)
-		if err != nil {
-			return false, err
-		}
-		return len(ans.Type.Roots) > 0 && !ansEffective(ans).Empty(), nil
-	})
+	v, err := PossiblyNonEmptyBudgeted(it, q, nil)
+	return v == budget.Yes, err
 }
 
 // CertainlyNonEmpty reports whether q(T) ≠ ∅ for every T ∈ rep(T)
-// (Corollary 3.18).
+// (Corollary 3.18). It is CertainlyNonEmptyBudgeted with a nil budget.
 func CertainlyNonEmpty(it *itree.T, q query.Query) (bool, error) {
-	return cachedDecision(it, q, kindCertainlyNonEmpty, func() (bool, error) {
-		ans, err := Apply(it, q)
-		if err != nil {
-			return false, err
-		}
-		if ans.MayBeEmpty {
-			return false, nil
-		}
-		return len(ans.Type.Roots) > 0 && !ansEffective(ans).Empty(), nil
-	})
+	v, err := CertainlyNonEmptyBudgeted(it, q, nil)
+	return v == budget.Yes, err
 }

@@ -9,8 +9,10 @@ import (
 )
 
 // The budgeted deciders are the three-valued forms of the Corollary 3.15 /
-// 3.18 decision procedures. Each returns an exact Yes/No only when the full
-// q(T) construction fit the budget, and Unknown with an error matching
+// 3.18 decision procedures, and the only implementation of each: a nil
+// budget makes them exact, which is how the Boolean forms in answer.go call
+// them. Each returns an exact Yes/No only when the full q(T) construction
+// fit the budget, and Unknown with an error matching
 // budget.ErrExhausted when it did not; a non-budget error (invalid query)
 // also yields Unknown, with the genuine error. Exact results still flow
 // through the shared decision cache — a cache hit answers instantly without
@@ -30,14 +32,14 @@ func triDecision(it *itree.T, q query.Query, kind uint8,
 	return budget.Of(v), nil
 }
 
-// FullyAnswerableBudgeted is FullyAnswerable under a budget.
+// FullyAnswerableBudgeted is FullyAnswerable under a budget (nil = exact).
 func FullyAnswerableBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
 	return triDecision(it, q, kindFully, func() (bool, error) {
 		return fullyAnswerable(it, q, bud)
 	})
 }
 
-// PossiblyNonEmptyBudgeted is PossiblyNonEmpty under a budget.
+// PossiblyNonEmptyBudgeted is PossiblyNonEmpty under a budget (nil = exact).
 func PossiblyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
 	return triDecision(it, q, kindPossiblyNonEmpty, func() (bool, error) {
 		ans, err := ApplyBudgeted(it, q, bud)
@@ -48,7 +50,8 @@ func PossiblyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget
 	})
 }
 
-// CertainlyNonEmptyBudgeted is CertainlyNonEmpty under a budget.
+// CertainlyNonEmptyBudgeted is CertainlyNonEmpty under a budget (nil =
+// exact).
 func CertainlyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
 	return triDecision(it, q, kindCertainlyNonEmpty, func() (bool, error) {
 		ans, err := ApplyBudgeted(it, q, bud)

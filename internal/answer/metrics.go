@@ -7,7 +7,8 @@ import (
 	"incxml/internal/obs"
 )
 
-// triTotal counts every budgeted-decider verdict:
+// triTotal counts every decider verdict, exact (nil budget) and budgeted
+// alike:
 // `incxml_answer_tri_total{proc,verdict,cause}`. proc names the decision
 // procedure (fully / certainly_nonempty / possibly_nonempty), verdict is the
 // three-valued answer, and cause explains an unknown verdict (steps,
@@ -17,7 +18,7 @@ import (
 // -budget.
 var triTotal = obs.Default().NewCounterVec(
 	"incxml_answer_tri_total",
-	"Budgeted answerability/non-emptiness verdicts by procedure, verdict, and unknown-cause.",
+	"Answerability/non-emptiness verdicts by procedure, verdict, and unknown-cause.",
 	"proc", "verdict", "cause")
 
 func init() {

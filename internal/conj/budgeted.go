@@ -5,7 +5,6 @@ import (
 
 	"incxml/internal/budget"
 	"incxml/internal/ctype"
-	"incxml/internal/engine"
 )
 
 // EmptyBudgeted is the three-valued, budget-guarded form of Empty: it
@@ -23,10 +22,9 @@ import (
 // The budget is charged one step per digit assignment, interned symbol set,
 // join tuple, and productivity evaluation — memo hits are free, which is
 // what moves the budgeted-unknown crossover on the blowup family (E21). A
-// nil budget makes the search exact and equivalent to Empty / EmptyPool.
-// The pool parameter is kept for API compatibility; the search no longer
-// fans certificates out (see EmptyPool).
-func (t *T) EmptyBudgeted(ctx context.Context, p *engine.Pool, b *budget.B) (budget.Tri, error) {
+// nil budget makes the search exact and equivalent to Empty; the context
+// still applies, so a cancelled one yields Unknown with budget.CauseDeadline.
+func (t *T) EmptyBudgeted(ctx context.Context, b *budget.B) (budget.Tri, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -34,9 +32,10 @@ func (t *T) EmptyBudgeted(ctx context.Context, p *engine.Pool, b *budget.B) (bud
 	return recordEmptyTri(v, err)
 }
 
-// emptySequentialBudgeted is the budgeted mixed-radix scan, used for
-// certificate spaces too small (or too large to index linearly) for the
-// pool.
+// emptySequentialBudgeted is the mixed-radix certificate scan: the
+// reference procedure behind EmptySequential (nil budget) and the fallback
+// emptyScan takes when a witness must be confirmed certificate by
+// certificate.
 func (t *T) emptySequentialBudgeted(ctx context.Context, syms []ctype.Symbol, counts []int, b *budget.B) (budget.Tri, error) {
 	idx := make([]int, len(counts))
 	for {

@@ -68,7 +68,7 @@ func TestEmptyBudgetedSoundness(t *testing.T) {
 	for i, c := range budgetedInstances(t) {
 		oracle := c.EmptySequential()
 		// Unlimited budget must answer exactly.
-		tri, err := c.EmptyBudgeted(ctx, nil, nil)
+		tri, err := c.EmptyBudgeted(ctx, nil)
 		if err != nil || !tri.Known() {
 			t.Fatalf("instance %d: unlimited budget not exact: %v, %v", i, tri, err)
 		}
@@ -78,7 +78,7 @@ func TestEmptyBudgetedSoundness(t *testing.T) {
 		// Sweep budgets from starvation to plenty.
 		for _, steps := range []int64{1, 2, 5, 20, 100, 1000, 100000} {
 			b := budget.New(ctx, steps)
-			tri, err := c.EmptyBudgeted(ctx, nil, b)
+			tri, err := c.EmptyBudgeted(ctx, b)
 			switch {
 			case tri.Known():
 				if err != nil {
@@ -100,7 +100,9 @@ func TestEmptyBudgetedSoundness(t *testing.T) {
 }
 
 // TestEmptyBudgetedDeadline: a cancelled context exhausts the budget with
-// CauseDeadline rather than returning a wrong verdict.
+// CauseDeadline rather than returning a wrong verdict — with a step budget
+// bound to the context, and with a nil budget, where the search polls the
+// context itself (the exact path callers put a timeout on).
 func TestEmptyBudgetedDeadline(t *testing.T) {
 	c := FromITree(refine.Universal(sigmaRAB))
 	for i := int64(1); i <= 3; i++ {
@@ -110,22 +112,31 @@ func TestEmptyBudgetedDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b := budget.New(ctx, 0)
-	tri, err := c.EmptyBudgeted(ctx, nil, b)
-	if tri != budget.Unknown {
-		// A witness found before the first context poll is still exact;
-		// only Yes would be unsound here. The blow-up family is satisfiable,
-		// so No is a legitimate early answer.
-		if tri == budget.Yes {
-			t.Fatalf("cancelled scan claimed exact emptiness")
+	rows := []struct {
+		name string
+		inst *T
+		b    *budget.B
+	}{
+		{"blowup/budget", c, budget.New(ctx, 0)},
+		{"hard-empty/nil-budget", hardEmptyInstance(12), nil},
+	}
+	for _, r := range rows {
+		tri, err := r.inst.EmptyBudgeted(ctx, r.b)
+		if tri != budget.Unknown {
+			// A witness found before the first context poll is still exact;
+			// only Yes would be unsound here. The blow-up family is
+			// satisfiable, so No is a legitimate early answer there.
+			if tri == budget.Yes {
+				t.Fatalf("%s: cancelled scan claimed exact emptiness", r.name)
+			}
+			continue
 		}
-		return
-	}
-	if !errors.Is(err, budget.ErrExhausted) {
-		t.Fatalf("Unknown without budget error: %v", err)
-	}
-	var be *budget.Error
-	if errors.As(err, &be) && be.Cause != budget.CauseDeadline {
-		t.Fatalf("cause = %v, want deadline", be.Cause)
+		if !errors.Is(err, budget.ErrExhausted) {
+			t.Fatalf("%s: Unknown without budget error: %v", r.name, err)
+		}
+		var be *budget.Error
+		if !errors.As(err, &be) || be.Cause != budget.CauseDeadline {
+			t.Fatalf("%s: err = %v, want cause deadline", r.name, err)
+		}
 	}
 }

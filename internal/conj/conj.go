@@ -22,7 +22,6 @@ import (
 	"incxml/internal/cond"
 	"incxml/internal/ctype"
 	"incxml/internal/dtd"
-	"incxml/internal/engine"
 	"incxml/internal/itree"
 	"incxml/internal/query"
 	"incxml/internal/refine"
@@ -540,73 +539,33 @@ func (t *T) Member(d tree.Tree) bool {
 // T_π — but rather than enumerating the exponential certificate space, the
 // implementation runs the pruned backtracking search of scan.go, which
 // assigns certificate digits lazily over the reachable symbol sets and
-// memoizes joins and productivity verdicts. Verdicts are identical to
-// EmptySequential, the reference certificate scan kept for the differential
-// tests and the E18/E21 before-after benchmarks.
+// memoizes joins and productivity verdicts. It is EmptyBudgeted's search
+// with a nil budget. Verdicts are identical to EmptySequential, the
+// reference certificate scan kept for the differential tests and the E21
+// before-after benchmark.
 func (t *T) Empty() bool {
-	return t.EmptyPool(context.Background(), engine.Default())
+	v, _ := t.emptyScan(context.Background(), nil)
+	return v == budget.Yes
 }
 
-// EmptySequential is the reference certificate scan (the baseline the E18
-// benchmark and the differential tests compare the pruned search against).
-// It handles certificate spaces of any size via a mixed-radix counter.
+// EmptySequential is the reference certificate scan (the baseline the E21
+// benchmark and the differential tests compare the pruned search against):
+// the mixed-radix loop of emptySequentialBudgeted with a nil budget, so it
+// visits every certificate until one is satisfiable.
 func (t *T) EmptySequential() bool {
 	if t.MayBeEmpty {
 		return false
 	}
-	// Enumerate certificates lazily: a certificate assigns to each symbol a
-	// choice vector (one atom per conjunct). Rather than materializing all
-	// certificates globally, iterate over the product of per-symbol choice
-	// counts with early exit.
-	syms, counts, _, _ := t.certificateSpace()
-	idx := make([]int, len(counts))
-	for {
-		pi, _ := t.buildPi(syms, idx, nil)
-		if pi != nil && !pi.Empty() {
-			return false
-		}
-		// Advance the mixed-radix counter.
-		i := 0
-		for ; i < len(idx); i++ {
-			idx[i]++
-			if idx[i] < counts[i] {
-				break
-			}
-			idx[i] = 0
-		}
-		if i == len(idx) {
-			return true
-		}
-	}
+	syms, counts := t.certificateSpace()
+	v, _ := t.emptySequentialBudgeted(context.Background(), syms, counts, nil)
+	return v == budget.Yes
 }
 
-// maxLinearCertificates bounds the linearly indexable certificate space
-// reported by certificateSpace; past it (or on int64 overflow) total is
-// meaningless and ok is false.
-const maxLinearCertificates = int64(1) << 42
-
-// EmptyPool is Empty on an explicit pool, kept for API compatibility with
-// the old chunked certificate scan. The pruned search replaced the
-// per-certificate fan-out (memo reuse across branches beats re-deriving
-// them in parallel — see EXPERIMENTS.md E21), so the pool is no longer
-// consulted. Results are identical to EmptySequential. Cancelling ctx
-// abandons the search (the result is then unreliable, reported as empty).
-func (t *T) EmptyPool(ctx context.Context, p *engine.Pool) bool {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	v, _ := t.emptyScan(ctx, nil)
-	return v != budget.No
-}
-
-// certificateSpace returns the symbol order, per-symbol choice counts, and
-// the total certificate count; ok is false when the total does not fit the
-// linearly indexable range.
-func (t *T) certificateSpace() (syms []ctype.Symbol, counts []int, total int64, ok bool) {
+// certificateSpace returns the symbol order and the per-symbol choice
+// counts: the radices of the mixed-radix certificate counter.
+func (t *T) certificateSpace() (syms []ctype.Symbol, counts []int) {
 	syms = t.symbols()
 	counts = make([]int, 0, len(syms))
-	total = 1
-	ok = true
 	for _, s := range syms {
 		n := 1
 		for _, d := range t.CNFFor(s) {
@@ -617,14 +576,8 @@ func (t *T) certificateSpace() (syms []ctype.Symbol, counts []int, total int64, 
 			n = 1 // keep a single (dead) choice; handled in buildPi
 		}
 		counts = append(counts, n)
-		if ok {
-			total *= int64(n)
-			if total > maxLinearCertificates || total < 0 {
-				ok = false
-			}
-		}
 	}
-	return syms, counts, total, ok
+	return syms, counts
 }
 
 // buildPi constructs the regular incomplete tree T_π for one certificate:

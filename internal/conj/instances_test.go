@@ -1,7 +1,6 @@
 package conj
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"incxml/internal/cond"
 	"incxml/internal/ctype"
 	"incxml/internal/dtd"
-	"incxml/internal/engine"
 	"incxml/internal/tree"
 )
 
@@ -65,40 +63,6 @@ func randomConjTree(rng *rand.Rand) *T {
 	return t
 }
 
-// TestEmptyPoolMatchesSequential is the differential correctness test for the
-// parallel certificate scan: over a corpus of random conjunctive instances,
-// the pool-backed emptiness check must agree with the sequential reference at
-// every worker count.
-func TestEmptyPoolMatchesSequential(t *testing.T) {
-	pools := []*engine.Pool{
-		engine.NewPool(1), engine.NewPool(2), engine.NewPool(4), engine.NewPool(8),
-	}
-	rng := rand.New(rand.NewSource(42))
-	ctx := context.Background()
-	nEmpty, nNonEmpty := 0, 0
-	for i := 0; i < 40; i++ {
-		inst := randomConjTree(rng)
-		want := inst.EmptySequential()
-		if want {
-			nEmpty++
-		} else {
-			nNonEmpty++
-		}
-		for _, p := range pools {
-			if got := inst.EmptyPool(ctx, p); got != want {
-				t.Fatalf("instance %d workers=%d: parallel=%v sequential=%v\n%s",
-					i, p.Workers(), got, want, inst.String())
-			}
-		}
-		if got := inst.Empty(); got != want {
-			t.Fatalf("instance %d: default Empty()=%v sequential=%v", i, got, want)
-		}
-	}
-	if nEmpty == 0 || nNonEmpty == 0 {
-		t.Fatalf("corpus not discriminating: %d empty, %d non-empty", nEmpty, nNonEmpty)
-	}
-}
-
 // hardEmptyInstance builds an instance with 2^k certificates, none
 // satisfiable: the root requires one child typed c (value 3) in every
 // expansion, but every conjunct choice forces the child set {a or b} whose
@@ -132,12 +96,10 @@ func TestHardEmptyInstance(t *testing.T) {
 	if !inst.EmptySequential() {
 		t.Fatal("hard instance should be empty sequentially")
 	}
-	for _, w := range []int{1, 2, 4, 8} {
-		if !inst.EmptyPool(context.Background(), engine.NewPool(w)) {
-			t.Fatalf("hard instance should be empty with %d workers", w)
-		}
+	if !inst.Empty() {
+		t.Fatal("hard instance should be empty under the pruned search")
 	}
-	// Flip one branch to be satisfiable: now a witness exists and parallel
+	// Flip one branch to be satisfiable: now a witness exists and the pruned
 	// search must find it (and agree with sequential).
 	sat := hardEmptyInstance(6)
 	sat.Cond["c"] = cond.EqInt(1)
@@ -145,9 +107,7 @@ func TestHardEmptyInstance(t *testing.T) {
 	if sat.EmptySequential() {
 		t.Fatal("satisfiable variant reported empty sequentially")
 	}
-	for _, w := range []int{1, 2, 4, 8} {
-		if sat.EmptyPool(context.Background(), engine.NewPool(w)) {
-			t.Fatalf("satisfiable variant reported empty with %d workers", w)
-		}
+	if sat.Empty() {
+		t.Fatal("satisfiable variant reported empty under the pruned search")
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // TestEmptyScanDifferentialCorpus pins the pruned certificate search to the
-// reference mixed-radix scan over a corpus an order of magnitude larger than
-// TestEmptyPoolMatchesSequential's: every seed drives both Empty (the pruned
-// search) and EmptyBudgeted with an effectively unlimited budget, and each
+// reference mixed-radix scan over a corpus of 500 random instances: every
+// seed drives both Empty (the pruned search) and EmptyBudgeted with an
+// effectively unlimited budget, and each
 // verdict must be byte-identical to EmptySequential's. The corpus includes
 // instances whose joins hit the bounds-merge error (the poisoning corner that
 // forces witness confirmation), so both the errFree fast path and the
@@ -42,7 +42,7 @@ func TestEmptyScanDifferentialCorpus(t *testing.T) {
 					seed, i, got, want, inst.String())
 			}
 			b := budget.New(ctx, 1<<40)
-			v, err := inst.EmptyBudgeted(ctx, nil, b)
+			v, err := inst.EmptyBudgeted(ctx, b)
 			if v == budget.Unknown {
 				t.Fatalf("seed %d instance %d: unlimited budget returned Unknown (%v)", seed, i, err)
 			}
@@ -80,7 +80,7 @@ func TestE21CrossoverSmoke(t *testing.T) {
 	n := 8
 	c := buildBlowup(t, n)
 	b := budget.New(context.Background(), 20000)
-	v, err := c.EmptyBudgeted(context.Background(), nil, b)
+	v, err := c.EmptyBudgeted(context.Background(), b)
 	if err != nil {
 		t.Fatalf("EmptyBudgeted at n=%d: %v (used %d steps)", n, err, b.Used())
 	}

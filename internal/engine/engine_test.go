@@ -6,73 +6,6 @@ import (
 	"testing"
 )
 
-func TestSearchFindsWitness(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		p := NewPool(workers)
-		for _, n := range []int{1, 7, 100} {
-			for _, target := range []int{0, n / 2, n - 1} {
-				got := p.Search(context.Background(), n, func(_ context.Context, i int) bool {
-					return i == target
-				})
-				if !got {
-					t.Errorf("workers=%d n=%d target=%d: witness missed", workers, n, target)
-				}
-			}
-			if p.Search(context.Background(), n, func(context.Context, int) bool { return false }) {
-				t.Errorf("workers=%d n=%d: witness invented", workers, n)
-			}
-		}
-	}
-}
-
-func TestSearchVisitsEveryBranchWhenUnsat(t *testing.T) {
-	p := NewPool(4)
-	const n = 257
-	var visited [n]atomic.Bool
-	p.Search(context.Background(), n, func(_ context.Context, i int) bool {
-		visited[i].Store(true)
-		return false
-	})
-	for i := range visited {
-		if !visited[i].Load() {
-			t.Fatalf("branch %d never evaluated", i)
-		}
-	}
-}
-
-func TestSearchRangeChunking(t *testing.T) {
-	p := NewPool(3)
-	var count atomic.Int64
-	found := p.SearchRange(context.Background(), 1000, 7, func(ctx context.Context, lo, hi int64) bool {
-		count.Add(hi - lo)
-		return lo <= 500 && 500 < hi
-	})
-	if !found {
-		t.Fatal("witness at 500 missed")
-	}
-	// Cancellation must have saved work: not every index should be visited
-	// when the chunk containing the witness fires early. (With 1 worker the
-	// sequential path guarantees this; with more it is overwhelmingly
-	// likely but not certain, so only assert the total is bounded.)
-	if count.Load() > 1000 {
-		t.Fatalf("visited %d > total indices", count.Load())
-	}
-}
-
-func TestSearchHonorsExternalCancellation(t *testing.T) {
-	p := NewPool(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := atomic.Int64{}
-	p.Search(ctx, 1000, func(_ context.Context, i int) bool {
-		ran.Add(1)
-		return false
-	})
-	if ran.Load() > int64(p.Workers()) {
-		t.Fatalf("cancelled search still evaluated %d branches", ran.Load())
-	}
-}
-
 func TestEachBarrier(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		p := NewPool(workers)
@@ -107,9 +40,11 @@ func TestEachReportsCancellation(t *testing.T) {
 
 func TestPoolStats(t *testing.T) {
 	p := NewPool(2)
-	p.Search(context.Background(), 10, func(_ context.Context, i int) bool { return i == 9 })
+	if err := p.Each(context.Background(), 10, func(int) {}); err != nil {
+		t.Fatal(err)
+	}
 	st := p.Stats()
-	if st.Workers != 2 || st.Searches != 1 || st.Tasks == 0 || st.ShortCircuits != 1 {
+	if st.Workers != 2 || st.Tasks != 10 || st.Launches != 2 {
 		t.Fatalf("unexpected stats %+v", st)
 	}
 }

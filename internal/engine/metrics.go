@@ -21,12 +21,6 @@ func init() {
 	d.CounterFunc("incxml_engine_worker_launches_total",
 		"Worker goroutines spawned by the default pool (workers are per-call, not persistent).",
 		func() uint64 { return p.launches.Load() })
-	d.CounterFunc("incxml_engine_searches_total",
-		"Search/SearchRange calls served by the default pool.",
-		func() uint64 { return p.searches.Load() })
-	d.CounterFunc("incxml_engine_short_circuits_total",
-		"Searches ended early because a branch found a witness and cancelled its siblings.",
-		func() uint64 { return p.shortCircuits.Load() })
 }
 
 // Expose registers the cache's counters on reg as func-backed samples

@@ -1,7 +1,6 @@
 package itree
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"incxml/internal/cond"
 	"incxml/internal/ctype"
 	"incxml/internal/dtd"
-	"incxml/internal/engine"
 	"incxml/internal/rat"
 	"incxml/internal/tree"
 )
@@ -66,73 +64,6 @@ func randomITree(rng *rand.Rand) *T {
 	}
 	it.MayBeEmpty = rng.Intn(4) == 0
 	return it
-}
-
-func smallBounds() Bounds {
-	return Bounds{
-		Values:    []rat.Rat{rat.FromInt(0), rat.FromInt(1), rat.FromInt(2), rat.FromInt(3)},
-		MaxRepeat: 2,
-		MaxDepth:  3,
-		MaxTrees:  5000,
-	}
-}
-
-func TestEnumerateParallelMatchesSequential(t *testing.T) {
-	b := smallBounds()
-	pools := []*engine.Pool{engine.NewPool(1), engine.NewPool(2), engine.NewPool(4)}
-	check := func(name string, it *T) {
-		t.Helper()
-		seq := it.RepSet(b, nil)
-		for _, p := range pools {
-			par := it.RepSetParallel(context.Background(), p, b, nil)
-			if ok, diff := diffRepSets(seq, par); !ok {
-				t.Errorf("%s workers=%d: %s", name, p.Workers(), diff)
-			}
-		}
-	}
-	check("example22", example22())
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 25; i++ {
-		check(fmt.Sprintf("random-%d", i), randomITree(rng))
-	}
-}
-
-func TestEnumerateParallelSameOrder(t *testing.T) {
-	// When MaxTrees does not bind, the parallel enumeration must equal the
-	// sequential one element for element, not only as a set.
-	b := smallBounds()
-	it := example22()
-	seq := it.Enumerate(b)
-	par := it.EnumerateParallel(context.Background(), engine.NewPool(4), b)
-	if len(seq) != len(par) {
-		t.Fatalf("lengths differ: %d vs %d", len(seq), len(par))
-	}
-	nset := map[tree.NodeID]bool{}
-	for id := range it.Nodes {
-		nset[id] = true
-	}
-	for i := range seq {
-		if CanonRelative(seq[i], nset) != CanonRelative(par[i], nset) {
-			t.Fatalf("order differs at %d", i)
-		}
-	}
-}
-
-func TestEqualRepSetsParallel(t *testing.T) {
-	b := smallBounds()
-	a1 := example22()
-	a2 := example22()
-	ok, diff := EqualRepSetsParallel(context.Background(), engine.NewPool(4), a1, a2, b)
-	if !ok {
-		t.Fatalf("identical trees differ: %s", diff)
-	}
-	// Perturb: drop the root's star item.
-	a2.Type.Mu["r"] = ctype.Disj{ctype.SAtom{{Sym: "n", Mult: dtd.One}}}
-	okSeq, _ := EqualRepSets(a1, a2, b)
-	okPar, _ := EqualRepSetsParallel(context.Background(), engine.NewPool(4), a1, a2, b)
-	if okSeq != okPar {
-		t.Fatalf("sequential=%v parallel=%v", okSeq, okPar)
-	}
 }
 
 func TestMemberCacheHitsAndInvalidation(t *testing.T) {

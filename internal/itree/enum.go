@@ -1,14 +1,12 @@
 package itree
 
 import (
-	"context"
 	"sort"
 	"strings"
 	"sync"
 
 	"incxml/internal/budget"
 	"incxml/internal/ctype"
-	"incxml/internal/engine"
 	"incxml/internal/rat"
 	"incxml/internal/tree"
 )
@@ -50,16 +48,12 @@ func IntBounds(lo, hi int64, maxRepeat, maxDepth, maxTrees int) Bounds {
 }
 
 // enumerator carries the (symbol, depth)-memoized generation state of one
-// enumeration pass. Each instance is single-goroutine; parallel enumeration
-// gives every task its own enumerator (see EnumerateParallel).
+// enumeration pass. Each instance is single-goroutine. Memoized variant
+// nodes are never mutated after the store (expandAtom clones children
+// before refreshing ids), so one variant list can be shared by many parents.
 type enumerator struct {
-	it *T
-	b  Bounds
-	// mu guards variants; EnumerateParallel shares one enumerator across
-	// worker tasks. Memoized variant nodes are never mutated after the
-	// store (expandAtom clones children before refreshing ids), so handing
-	// the same slice to several tasks is safe.
-	mu       sync.RWMutex
+	it       *T
+	b        Bounds
 	variants map[genKey][]*tree.Node
 	// bud, when non-nil, is charged one step per produced variant and child
 	// combination; exhaustion stops the pass, leaving an anytime
@@ -70,10 +64,6 @@ type enumerator struct {
 type genKey struct {
 	sym   ctype.Symbol
 	depth int
-}
-
-func newEnumerator(it *T, b Bounds) *enumerator {
-	return &enumerator{it: it, b: b, variants: map[genKey][]*tree.Node{}}
 }
 
 // bases returns the possible node shells for symbol s: the pinned data node
@@ -127,12 +117,8 @@ func (e *enumerator) gen(s ctype.Symbol, depth int) []*tree.Node {
 		return nil
 	}
 	// Memoized on (symbol, depth): recursion strictly increases depth, so
-	// gen terminates at the MaxDepth cut. Concurrent tasks may compute the
-	// same key; both arrive at equal lists and the last store wins.
-	e.mu.RLock()
-	vs, ok := e.variants[genKey{s, depth}]
-	e.mu.RUnlock()
-	if ok {
+	// gen terminates at the MaxDepth cut.
+	if vs, ok := e.variants[genKey{s, depth}]; ok {
 		return vs
 	}
 	bases := e.bases(s)
@@ -146,17 +132,29 @@ func (e *enumerator) gen(s ctype.Symbol, depth int) []*tree.Node {
 			return out
 		}
 	}
-	e.mu.Lock()
 	e.variants[genKey{s, depth}] = out
-	e.mu.Unlock()
 	return out
 }
 
 // Enumerate materializes the trees of rep(T) within the bounds. Trees
 // containing a data node twice are excluded (Definition 2.7). The result is
-// deduplicated under CanonRelative with respect to T's data nodes.
+// deduplicated under CanonRelative with respect to T's data nodes. It is
+// EnumerateBudgeted with a nil budget.
 func (it *T) Enumerate(b Bounds) []tree.Tree {
-	e := newEnumerator(it, b)
+	trees, _ := it.EnumerateBudgeted(b, nil)
+	return trees
+}
+
+// EnumerateBudgeted is the anytime form of Enumerate: it materializes
+// members of rep(T) within the bounds until the budget runs out, charging
+// one step per produced variant and child combination. The returned slice
+// is always a sound under-approximation of the bounded rep-set — every tree
+// in it is a genuine member — and err is nil exactly when the enumeration
+// completed (the result then equals Enumerate's). On exhaustion err matches
+// budget.ErrExhausted and the partial results are still usable, e.g. as
+// counterexample candidates. A nil budget makes the enumeration exact.
+func (it *T) EnumerateBudgeted(b Bounds, bud *budget.B) ([]tree.Tree, error) {
+	e := &enumerator{it: it, b: b, variants: map[genKey][]*tree.Node{}, bud: bud}
 
 	seen := map[string]bool{}
 	var result []tree.Tree
@@ -180,75 +178,11 @@ func (it *T) Enumerate(b Bounds) []tree.Tree {
 				result = append(result, t)
 			}
 			if len(result) >= b.MaxTrees {
-				return result
+				return result, recordEnum(bud.Err())
 			}
 		}
 	}
-	return result
-}
-
-// EnumerateParallel is Enumerate with the top-level (root symbol, atom)
-// combinations fanned out across the pool. Tasks share one lock-guarded
-// variant memo, and the per-task results are merged in task order, so the
-// output is deterministic and — whenever the MaxTrees bound does not bind,
-// the regime the verification oracles run in — element-for-element equal to
-// Enumerate's.
-func (it *T) EnumerateParallel(ctx context.Context, p *engine.Pool, b Bounds) []tree.Tree {
-	if p == nil {
-		p = engine.Default()
-	}
-	if p.Workers() <= 1 {
-		// A single worker gains nothing from per-task enumerators and would
-		// lose the variant memo shared across atoms; run the sequential path.
-		return it.Enumerate(b)
-	}
-	type task struct {
-		root ctype.Symbol
-		atom ctype.SAtom
-	}
-	var tasks []task
-	for _, r := range it.Type.Roots {
-		for _, a := range it.Type.DisjFor(r) {
-			tasks = append(tasks, task{r, a})
-		}
-	}
-	partial := make([][]*tree.Node, len(tasks))
-	shared := newEnumerator(it, b)
-	p.Each(ctx, len(tasks), func(i int) {
-		bases := shared.bases(tasks[i].root)
-		if len(bases) == 0 {
-			return
-		}
-		partial[i], _ = shared.expandAtom(nil, tasks[i].atom, bases, 0)
-	})
-
-	seen := map[string]bool{}
-	var result []tree.Tree
-	nset := map[tree.NodeID]bool{}
-	for id := range it.Nodes {
-		nset[id] = true
-	}
-	if it.MayBeEmpty {
-		result = append(result, tree.Empty())
-		seen[CanonRelative(tree.Empty(), nset)] = true
-	}
-	for _, roots := range partial {
-		for _, root := range roots {
-			t := tree.Tree{Root: root}
-			if dupDataNode(t, it.Nodes) {
-				continue
-			}
-			key := CanonRelative(t, nset)
-			if !seen[key] {
-				seen[key] = true
-				result = append(result, t)
-			}
-			if len(result) >= b.MaxTrees {
-				return result
-			}
-		}
-	}
-	return result
+	return result, recordEnum(bud.Err())
 }
 
 // enumAtom enumerates child multisets satisfying the atom within bounds.
@@ -401,19 +335,29 @@ func CanonRelative(t tree.Tree, n map[tree.NodeID]bool) string {
 }
 
 // RepSet enumerates rep(T) under the bounds and returns the canonical keys,
-// relative to the given node set (pass nil to use T's own data nodes).
+// relative to the given node set (pass nil to use T's own data nodes). It is
+// RepSetBudgeted with a nil budget.
 func (it *T) RepSet(b Bounds, rel map[tree.NodeID]bool) map[string]bool {
+	out, _ := it.RepSetBudgeted(b, rel, nil)
+	return out
+}
+
+// RepSetBudgeted is RepSet over EnumerateBudgeted: the canonical-key set of
+// the members enumerated before exhaustion (a subset of the full bounded
+// rep-set), plus the exhaustion error if the budget ran out.
+func (it *T) RepSetBudgeted(b Bounds, rel map[tree.NodeID]bool, bud *budget.B) (map[string]bool, error) {
 	if rel == nil {
 		rel = map[tree.NodeID]bool{}
 		for id := range it.Nodes {
 			rel[id] = true
 		}
 	}
+	trees, err := it.EnumerateBudgeted(b, bud)
 	out := map[string]bool{}
-	for _, t := range it.Enumerate(b) {
+	for _, t := range trees {
 		out[CanonRelative(t, rel)] = true
 	}
-	return out
+	return out, err
 }
 
 // EqualRepSets reports whether two incomplete trees have the same bounded
@@ -429,43 +373,6 @@ func EqualRepSets(a, b *T, bounds Bounds) (bool, string) {
 	}
 	sa := a.RepSet(bounds, rel)
 	sb := b.RepSet(bounds, rel)
-	return diffRepSets(sa, sb)
-}
-
-// RepSetParallel is RepSet backed by EnumerateParallel.
-func (it *T) RepSetParallel(ctx context.Context, p *engine.Pool, b Bounds, rel map[tree.NodeID]bool) map[string]bool {
-	if rel == nil {
-		rel = map[tree.NodeID]bool{}
-		for id := range it.Nodes {
-			rel[id] = true
-		}
-	}
-	out := map[string]bool{}
-	for _, t := range it.EnumerateParallel(ctx, p, b) {
-		out[CanonRelative(t, rel)] = true
-	}
-	return out
-}
-
-// EqualRepSetsParallel is EqualRepSets with the two bounded rep-sets
-// computed concurrently, each by a parallel enumeration on the pool.
-func EqualRepSetsParallel(ctx context.Context, p *engine.Pool, a, b *T, bounds Bounds) (bool, string) {
-	if p == nil {
-		p = engine.Default()
-	}
-	rel := map[tree.NodeID]bool{}
-	for id := range a.Nodes {
-		rel[id] = true
-	}
-	for id := range b.Nodes {
-		rel[id] = true
-	}
-	var sa, sb map[string]bool
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); sa = a.RepSetParallel(ctx, p, bounds, rel) }()
-	go func() { defer wg.Done(); sb = b.RepSetParallel(ctx, p, bounds, rel) }()
-	wg.Wait()
 	return diffRepSets(sa, sb)
 }
 

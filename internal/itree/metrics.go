@@ -2,14 +2,15 @@ package itree
 
 import "incxml/internal/obs"
 
-// enumTotal counts anytime enumerations by outcome:
+// enumTotal counts rep-set enumerations, exact (nil budget) and budgeted
+// alike, by outcome:
 // `incxml_itree_enum_total{outcome}`. complete means the bounded rep-set was
 // fully materialized (the result equals Enumerate's); exhausted means the
 // budget cut the enumeration short and callers received a sound
 // under-approximation.
 var enumTotal = obs.Default().NewCounterVec(
 	"incxml_itree_enum_total",
-	"Budgeted rep-set enumerations by outcome (complete = exact, exhausted = anytime under-approximation).",
+	"Rep-set enumerations by outcome (complete = exact, exhausted = anytime under-approximation).",
 	"outcome")
 
 func init() {

@@ -19,7 +19,7 @@ const DefaultShrinkTo = 128
 // T_{q,A} construction is polynomial, and the intersection charges the
 // budget as IntersectBudgeted. On exhaustion the step is abandoned with the
 // budget error; see (*Refiner).ObserveBudgeted for the sanctioned lossy
-// fallback.
+// fallback. A nil budget makes the step exact.
 func RefineBudgeted(t *itree.T, q query.Query, a tree.Tree, sigma []tree.Label, bud *budget.B) (*itree.T, error) {
 	qa, err := FromQueryAnswer(q, a, sigma)
 	if err != nil {
@@ -29,9 +29,9 @@ func RefineBudgeted(t *itree.T, q query.Query, a tree.Tree, sigma []tree.Label, 
 }
 
 // ObserveBudgeted folds one ps-query/answer pair into the representation
-// under a budget. When the exact step (intersection + compaction) fits the
-// budget it is identical to Observe. When the budget is exhausted it falls
-// back to the lossy-shrinking escape hatch of Proposition 3.13: the
+// under a budget; a nil budget always takes the exact step (intersection +
+// compaction), which is what Observe does. When the budget is exhausted it
+// falls back to the lossy-shrinking escape hatch of Proposition 3.13: the
 // accumulated tree is shrunk to at most shrinkTo size units (merging
 // same-label specializations, a rep-superset), the observation is folded
 // into the shrunk tree exactly, and the result is shrunk again if compaction
@@ -57,6 +57,8 @@ func (r *Refiner) ObserveBudgeted(q query.Query, a tree.Tree, bud *budget.B, shr
 	next, err := IntersectBudgeted(r.cur, qa, bud)
 	if err != nil {
 		if !errors.Is(err, budget.ErrExhausted) {
+			// A known node came back with a different label or value: the
+			// same inconsistency signal as an empty intersection.
 			if errors.Is(err, ErrIncompatible) {
 				return r.lossy, fmt.Errorf("%w: %v", ErrInconsistent, err)
 			}
@@ -86,6 +88,8 @@ func (r *Refiner) ObserveBudgeted(q query.Query, a tree.Tree, bud *budget.B, shr
 	if next.Empty() {
 		return r.lossy, fmt.Errorf("%w (after %d observations)", ErrInconsistent, r.steps+1)
 	}
+	// Emptiness can also be induced only in combination with the source
+	// type; check the reachable tree too when a type is known.
 	if r.source != nil {
 		if reach := WithTreeType(next, r.source); reach.Empty() {
 			return r.lossy, fmt.Errorf("%w (answers conflict with the source type after %d observations)", ErrInconsistent, r.steps+1)

@@ -34,13 +34,10 @@ func Universal(sigma []tree.Label) *itree.T {
 
 // Refine performs one step of Algorithm Refine (Theorem 3.4): given the
 // current incomplete tree and a ps-query with its answer, it returns an
-// unambiguous incomplete tree representing rep(t) ∩ q⁻¹(A).
+// unambiguous incomplete tree representing rep(t) ∩ q⁻¹(A). It is
+// RefineBudgeted with a nil budget.
 func Refine(t *itree.T, q query.Query, a tree.Tree, sigma []tree.Label) (*itree.T, error) {
-	qa, err := FromQueryAnswer(q, a, sigma)
-	if err != nil {
-		return nil, err
-	}
-	return Intersect(t, qa)
+	return RefineBudgeted(t, q, a, sigma, nil)
 }
 
 // Compact shrinks an incomplete tree without changing rep: it removes
@@ -316,33 +313,11 @@ var ErrInconsistent = errors.New("refine: observation inconsistent with accumula
 // Observe folds one ps-query/answer pair into the representation
 // (one step of Algorithm Refine). It returns ErrInconsistent (wrapped) when
 // the refined representation becomes empty; the previous state is kept so
-// the caller can decide how to recover.
+// the caller can decide how to recover. It is ObserveBudgeted with a nil
+// budget, which never takes the lossy fallback.
 func (r *Refiner) Observe(q query.Query, a tree.Tree) error {
-	next, err := Refine(r.cur, q, a, r.sigma)
-	if errors.Is(err, ErrIncompatible) {
-		// A known node came back with a different label or value: the same
-		// inconsistency signal as an empty intersection.
-		return fmt.Errorf("%w: %v", ErrInconsistent, err)
-	}
-	if err != nil {
-		return err
-	}
-	if r.CompactEach {
-		next = Compact(next)
-	}
-	if next.Empty() {
-		return fmt.Errorf("%w (after %d observations)", ErrInconsistent, r.steps+1)
-	}
-	// Emptiness can also be induced only in combination with the source
-	// type; check the reachable tree too when a type is known.
-	if r.source != nil {
-		if reach := WithTreeType(next, r.source); reach.Empty() {
-			return fmt.Errorf("%w (answers conflict with the source type after %d observations)", ErrInconsistent, r.steps+1)
-		}
-	}
-	r.cur = next
-	r.steps++
-	return nil
+	_, err := r.ObserveBudgeted(q, a, nil, 0)
+	return err
 }
 
 // Tree returns the current incomplete tree (query information only, not yet

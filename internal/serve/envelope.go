@@ -273,7 +273,7 @@ func entry(q query.Query, a any) (SourceEnvelope, error) {
 			Class:           a.Class.String(),
 			Tractable:       a.Class.Tractable(),
 			ExactV:          a.ExactV.String(),
-			Exact:           a.Exact,
+			Exact:           a.ExactV == budget.Yes,
 			BudgetExhausted: a.BudgetExhausted,
 		}
 		se.Completeness = completenessOf(a.Certificate)

@@ -127,7 +127,6 @@ func TestStatsAgreesWithMetrics(t *testing.T) {
 		`incxml_cache_misses_total{cache="decision"}`:    float64(st.Decision.Misses),
 		`incxml_cache_hits_total{cache="membership"}`:    float64(st.Membership.Hits),
 		`incxml_engine_tasks_total`:                      float64(st.Engine.Tasks),
-		`incxml_engine_searches_total`:                   float64(st.Engine.Searches),
 		`incxml_engine_workers`:                          float64(st.Engine.Workers),
 	}
 	for key, want := range shared {

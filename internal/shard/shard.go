@@ -124,10 +124,6 @@ type Config struct {
 	// sequences stay reproducible but decorrelated across sources.
 	Injector faulty.InjectorConfig
 	Retry    faulty.RetryConfig
-	// Pool fans the scatter out across shards (engine.Default() if nil).
-	// Groups' webhouses share it, so one knob bounds the whole cluster's
-	// concurrency.
-	Pool *engine.Pool
 }
 
 // Group is one shard: a webhouse owning the sources the ring assigned
@@ -191,28 +187,28 @@ func (g *Group) BreakersOpen() int {
 	return n
 }
 
-// Requests reports the source operations routed through the shard, and
-// Degraded how many of them fell back to the flagged local approximation
-// (or failed outright).
+// Requests reports the source operations routed through the shard.
 func (g *Group) Requests() uint64 { return g.requests.Load() }
+
+// Degraded reports how many of the shard's source operations fell back to
+// the flagged local approximation (or failed outright).
 func (g *Group) Degraded() uint64 { return g.degraded.Load() }
 
-// Cluster is the scatter-gather front door: a ring of shard groups and the
-// routing and fan-out logic over them. All methods are safe for concurrent
-// use.
 // mergeFallbackSteps bounds the certificate-merge re-verification when the
 // cluster has no configured per-request step budget: large enough for any
 // realistic query, small enough that the gather path can never run hot.
 const mergeFallbackSteps = 1 << 20
 
+// Cluster is the scatter-gather front door: a ring of shard groups and the
+// routing and fan-out logic over them. All methods are safe for concurrent
+// use.
 type Cluster struct {
 	cfg  Config
 	ring *Ring
-	pool *engine.Pool
 	// scatterPool drives the fan-out barrier with one worker per shard.
 	// The scatter is latency-bound — workers spend their time blocked on
-	// simulated source waits — so sizing it by GOMAXPROCS (as the solver
-	// pool is) would serialize the fan-out on small machines and forfeit
+	// simulated source waits — so sizing it by GOMAXPROCS (as
+	// engine.Default() is) would serialize the fan-out on small machines and forfeit
 	// exactly the overlap the scatter exists to provide.
 	scatterPool *engine.Pool
 
@@ -234,20 +230,14 @@ func New(cfg Config) *Cluster {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = engine.Default()
-	}
 	c := &Cluster{
 		cfg:         cfg,
 		ring:        NewRing(cfg.Shards, cfg.Replicas),
-		pool:        pool,
 		scatterPool: engine.NewPool(cfg.Shards),
 		owners:      map[string]*Group{},
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		wh := webhouse.New()
-		wh.SetPool(pool)
 		if cfg.Budget > 0 {
 			wh.SetBudget(cfg.Budget)
 		}
@@ -503,8 +493,8 @@ func (s *Scatter) ByName(source string) *SourceAnswer {
 }
 
 // ScatterComplete answers q completely on every registered source: the
-// fan-out is parallel across shards (one sub-request per shard, bounded by
-// the cluster pool) and sequential within a shard. A down shard degrades
+// fan-out is parallel across shards (one sub-request per shard, on the
+// scatter pool) and sequential within a shard. A down shard degrades
 // its own sources to the flagged local approximation and never fails the
 // scatter; only a dead context or a solver error aborts the whole call.
 func (c *Cluster) ScatterComplete(ctx context.Context, q query.Query) (*Scatter, error) {

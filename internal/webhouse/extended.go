@@ -58,8 +58,6 @@ type ExtendedAnswer struct {
 	// No is never reported: failing to certify exactness does not prove
 	// the answer inexact.
 	ExactV budget.Tri
-	// Exact is ExactV == Yes, kept for v0-era callers.
-	Exact bool
 	// Certificate is the Corollary 3.15 completeness certificate over the
 	// covering ps-query when one exists and the class is tractable; nil
 	// otherwise.
@@ -183,7 +181,6 @@ func (wh *Webhouse) AnswerExtended(ctx context.Context, source string, q extquer
 			return nil, err
 		}
 	}
-	out.Exact = out.ExactV == budget.Yes
 	extVerdicts.With(out.Class.String(), out.ExactV.String()).Inc()
 	if !out.BudgetExhausted {
 		r.storeExt(gen, key, out)

@@ -189,7 +189,6 @@ type Webhouse struct {
 	mu    sync.RWMutex
 	repos map[string]*Repository
 
-	pool        *engine.Pool
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 	degraded    atomic.Uint64
@@ -203,26 +202,9 @@ type Webhouse struct {
 	lossyFallbacks    atomic.Uint64
 }
 
-// New creates an empty webhouse backed by the default worker pool.
+// New creates an empty webhouse; its fan-outs run on engine.Default().
 func New() *Webhouse {
-	return &Webhouse{repos: map[string]*Repository{}, pool: engine.Default()}
-}
-
-// SetPool installs the worker pool used to fan out local-answer
-// sub-computations. Call before serving; nil restores the default pool.
-func (wh *Webhouse) SetPool(p *engine.Pool) {
-	if p == nil {
-		p = engine.Default()
-	}
-	wh.mu.Lock()
-	wh.pool = p
-	wh.mu.Unlock()
-}
-
-func (wh *Webhouse) getPool() *engine.Pool {
-	wh.mu.RLock()
-	defer wh.mu.RUnlock()
-	return wh.pool
+	return &Webhouse{repos: map[string]*Repository{}}
 }
 
 // SetBudget sets the per-request step allowance of the solver budgets;
@@ -357,7 +339,8 @@ type Stats struct {
 	// Membership is the itree membership/prefix result cache (shared; see
 	// Decision).
 	Membership engine.CacheStats
-	// Engine reports worker-pool utilization (shared iff the pool is).
+	// Engine reports the process-global default pool's utilization (a
+	// process gauge, like Decision/Membership).
 	Engine engine.Stats
 	// Intern reports the process-global intern tables (strings, conditions,
 	// hash-consed trees): entry counts, hit/miss traffic, and the bytes of
@@ -372,7 +355,6 @@ type clientStats interface{ Stats() faulty.ClientStats }
 
 // Stats returns a snapshot of the webhouse's serving counters.
 func (wh *Webhouse) Stats() Stats {
-	p := wh.getPool()
 	src := wh.sourceStats()
 	return Stats{
 		AnswerCacheHits:   wh.cacheHits.Load(),
@@ -383,7 +365,7 @@ func (wh *Webhouse) Stats() Stats {
 		Source:            src,
 		Decision:          answer.CacheStats(),
 		Membership:        itree.CacheStats(),
-		Engine:            p.Stats(),
+		Engine:            engine.Default().Stats(),
 		Intern:            intern.Stats(),
 	}
 }
@@ -598,7 +580,7 @@ func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Que
 		func() { out.CertainlyNonEmptyV, errs[2] = answer.CertainlyNonEmptyBudgeted(know, q, bud) },
 		func() { out.PossiblyNonEmptyV, errs[3] = answer.PossiblyNonEmptyBudgeted(know, q, bud) },
 	}
-	if err := wh.getPool().Each(ctx, len(tasks), func(i int) { tasks[i]() }); err != nil {
+	if err := engine.Default().Each(ctx, len(tasks), func(i int) { tasks[i]() }); err != nil {
 		return nil, err
 	}
 	exhausted := false
@@ -843,7 +825,7 @@ func (wh *Webhouse) AnswerComplete(ctx context.Context, source string, q query.Q
 		return nil, err
 	}
 	endSource := obs.FromContext(ctx).Stage("source")
-	answers, err := mediator.ExecuteAllPool(ctx, wh.getPool(), client, ls)
+	answers, err := mediator.ExecuteAllPool(ctx, engine.Default(), client, ls)
 	endSource(0)
 	if err != nil {
 		return wh.degrade(ctx, know, q, len(ls), err)

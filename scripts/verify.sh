@@ -1,16 +1,19 @@
 #!/bin/sh
 # Full verification gate: static checks, the tier-1 suite, the
-# race-detector run that guards the concurrent serving layer and parallel
-# solvers, and a short fuzz smoke over every parser boundary. CI and
+# race-detector run that guards the concurrent serving layer and its
+# fan-outs, and a short fuzz smoke over every parser boundary. CI and
 # pre-merge checks should run this (or `make verify`).
 set -eux
 
 cd "$(dirname "$0")/.."
 
+# Formatting gate: every Go file, the bench/ module included, must be gofmt-clean.
+test -z "$(gofmt -l .)"
 go vet ./...
 # Godoc gate: the public facade and the operator-facing packages must
 # document every exported symbol (see scripts/doclint).
-go run ./scripts/doclint incxml.go ./internal/obs ./internal/budget ./internal/serve ./internal/certify ./internal/store ./internal/workload ./internal/extquery ./internal/reductions
+go run ./scripts/doclint incxml.go ./internal/obs ./internal/budget ./internal/serve ./internal/certify ./internal/store ./internal/workload ./internal/extquery ./internal/reductions \
+	./internal/engine ./internal/conj ./internal/itree ./internal/answer ./internal/refine ./internal/mediator ./internal/shard ./internal/webhouse
 # staticcheck is optional tooling: run it when installed, skip silently
 # in minimal environments.
 if command -v staticcheck >/dev/null 2>&1; then
