@@ -385,11 +385,8 @@ func FullyAnswerable(it *itree.T, q query.Query) (bool, error) {
 	return v == budget.Yes, err
 }
 
-func fullyAnswerable(it *itree.T, q query.Query, bud *budget.B) (bool, error) {
-	ans, err := ApplyBudgeted(it, q, bud)
-	if err != nil {
-		return false, err
-	}
+// fullyOf decides FullyAnswerable from q(T).
+func fullyOf(ans *itree.T) bool {
 	eff := ansEffective(ans)
 	useful := eff.Useful()
 	usefulRoots := false
@@ -400,14 +397,14 @@ func fullyAnswerable(it *itree.T, q query.Query, bud *budget.B) (bool, error) {
 	}
 	if ans.MayBeEmpty && usefulRoots {
 		// Some worlds answer empty while others do not.
-		return false, nil
+		return false
 	}
 	for s := range useful {
 		if !useful[s] {
 			continue
 		}
 		if !ans.Type.TargetFor(s).IsNode() {
-			return false, nil
+			return false
 		}
 	}
 	// Data-node presence must not be optional.
@@ -421,12 +418,12 @@ func fullyAnswerable(it *itree.T, q query.Query, bud *budget.B) (bool, error) {
 					continue
 				}
 				if ans.Type.TargetFor(item.Sym).IsNode() && item.Mult != dtd.One {
-					return false, nil
+					return false
 				}
 			}
 		}
 	}
-	return true, nil
+	return true
 }
 
 // ansEffective builds a ctype with effective conditions for usefulness

@@ -18,6 +18,10 @@ import (
 // through the shared decision cache — a cache hit answers instantly without
 // spending budget, and exhaustion is never cached (cachedDecision does not
 // cache errors), so a later retry with a larger budget can succeed.
+//
+// Each verdict rule exists once, as a function of the answer tree q(T)
+// (fullyOf, certainlyOf, possiblyOf); the standalone deciders build q(T)
+// for one verdict, Facets builds it once for all three.
 
 // triDecision runs one cached budgeted decision and folds the outcome into
 // a verdict.
@@ -32,37 +36,91 @@ func triDecision(it *itree.T, q query.Query, kind uint8,
 	return budget.Of(v), nil
 }
 
-// FullyAnswerableBudgeted is FullyAnswerable under a budget (nil = exact).
-func FullyAnswerableBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
-	return triDecision(it, q, kindFully, func() (bool, error) {
-		return fullyAnswerable(it, q, bud)
-	})
-}
-
-// PossiblyNonEmptyBudgeted is PossiblyNonEmpty under a budget (nil = exact).
-func PossiblyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
-	return triDecision(it, q, kindPossiblyNonEmpty, func() (bool, error) {
+// ofAnswer lifts a verdict rule on q(T) to a decision on (it, q): it builds
+// q(T) under the budget and applies the rule.
+func ofAnswer(it *itree.T, q query.Query, bud *budget.B, rule func(*itree.T) bool) func() (bool, error) {
+	return func() (bool, error) {
 		ans, err := ApplyBudgeted(it, q, bud)
 		if err != nil {
 			return false, err
 		}
-		return len(ans.Type.Roots) > 0 && !ansEffective(ans).Empty(), nil
-	})
+		return rule(ans), nil
+	}
+}
+
+// FullyAnswerableBudgeted is FullyAnswerable under a budget (nil = exact).
+func FullyAnswerableBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
+	return triDecision(it, q, kindFully, ofAnswer(it, q, bud, fullyOf))
+}
+
+// PossiblyNonEmptyBudgeted is PossiblyNonEmpty under a budget (nil = exact).
+func PossiblyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
+	return triDecision(it, q, kindPossiblyNonEmpty, ofAnswer(it, q, bud, possiblyOf))
 }
 
 // CertainlyNonEmptyBudgeted is CertainlyNonEmpty under a budget (nil =
 // exact).
 func CertainlyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
-	return triDecision(it, q, kindCertainlyNonEmpty, func() (bool, error) {
-		ans, err := ApplyBudgeted(it, q, bud)
-		if err != nil {
-			return false, err
+	return triDecision(it, q, kindCertainlyNonEmpty, ofAnswer(it, q, bud, certainlyOf))
+}
+
+// possiblyOf decides PossiblyNonEmpty from q(T): some answer is nonempty.
+func possiblyOf(ans *itree.T) bool {
+	return len(ans.Type.Roots) > 0 && !ansEffective(ans).Empty()
+}
+
+// certainlyOf decides CertainlyNonEmpty from q(T): no world answers empty,
+// and some answer is nonempty.
+func certainlyOf(ans *itree.T) bool {
+	return !ans.MayBeEmpty && possiblyOf(ans)
+}
+
+// Local is the local answer to one query on one incomplete tree: the
+// Theorem 3.14 answer tree q(T) and the three verdicts derived from it.
+type Local struct {
+	// Possible is q(T); nil when the construction ran out of budget.
+	Possible *itree.T
+	// Fully is the Corollary 3.15 verdict, CertainlyNonEmpty and
+	// PossiblyNonEmpty the Corollary 3.18 ones.
+	Fully             budget.Tri
+	CertainlyNonEmpty budget.Tri
+	PossiblyNonEmpty  budget.Tri
+}
+
+// Facets builds q(T) once under the budget (nil = exact) and derives all
+// three verdicts from it, reading and filling the decision cache under one
+// fingerprint of it. The verdicts equal those of the standalone deciders.
+// When the construction fails — the budget ran out, or q is invalid — the
+// error is returned with Possible nil: verdicts already cached stand, and
+// the others are Unknown.
+func Facets(it *itree.T, q query.Query, bud *budget.B) (Local, error) {
+	key := newDecisionKey(it, q)
+	kinds := [3]uint8{kindFully, kindCertainlyNonEmpty, kindPossiblyNonEmpty}
+	rules := [3]func(*itree.T) bool{fullyOf, certainlyOf, possiblyOf}
+	var tri [3]budget.Tri
+	var cached [3]bool
+	for i, kind := range kinds {
+		key.kind = kind
+		if v, ok := lookupDecision(key); ok {
+			tri[i], cached[i] = budget.Of(v), true
 		}
-		if ans.MayBeEmpty {
-			return false, nil
+	}
+	ans, err := ApplyBudgeted(it, q, bud)
+	for i, kind := range kinds {
+		var cause error
+		switch {
+		case cached[i]:
+		case err != nil:
+			tri[i], cause = budget.Unknown, err
+		default:
+			v := rules[i](ans)
+			key.kind = kind
+			storeDecision(key, v)
+			tri[i] = budget.Of(v)
 		}
-		return len(ans.Type.Roots) > 0 && !ansEffective(ans).Empty(), nil
-	})
+		recordTri(kind, tri[i], cause)
+	}
+	return Local{Possible: ans, Fully: tri[0], CertainlyNonEmpty: tri[1], PossiblyNonEmpty: tri[2]}, err
 }
 
 // IsExhausted reports whether err is a budget exhaustion (as opposed to a

@@ -103,6 +103,68 @@ func TestBudgetedDecidersSoundness(t *testing.T) {
 				t.Errorf("case %d %s: cache hit did not answer exactly: %v, %v", ci, d.name, tri, err)
 			}
 		}
+		checkFacets(t, ci, c.it, c.q)
+	}
+}
+
+// checkFacets is Facets as one more input of the soundness sweep: at a nil
+// budget its three verdicts equal the standalone deciders', at every budget
+// from 1 up to the exact cost of building q(T) no definite verdict
+// disagrees with the exact one and Unknown comes only with exhaustion, and
+// cached verdicts survive a starved build.
+func checkFacets(t *testing.T, ci int, it *itree.T, q query.Query) {
+	t.Helper()
+	ctx := context.Background()
+	var oracle [3]budget.Tri
+	for i, d := range []func(*itree.T, query.Query, *budget.B) (budget.Tri, error){
+		FullyAnswerableBudgeted, CertainlyNonEmptyBudgeted, PossiblyNonEmptyBudgeted,
+	} {
+		ResetCache()
+		v, err := d(it, q, nil)
+		if err != nil {
+			t.Fatalf("case %d decider %d: %v", ci, i, err)
+		}
+		oracle[i] = v
+	}
+	verdicts := func(l Local) [3]budget.Tri {
+		return [3]budget.Tri{l.Fully, l.CertainlyNonEmpty, l.PossiblyNonEmpty}
+	}
+	ResetCache()
+	exact, err := Facets(it, q, nil)
+	if err != nil || exact.Possible == nil {
+		t.Fatalf("case %d Facets exact: %v (Possible %v)", ci, err, exact.Possible)
+	}
+	if got := verdicts(exact); got != oracle {
+		t.Errorf("case %d Facets(nil) = %v, deciders %v", ci, got, oracle)
+	}
+	meter := budget.New(ctx, 0)
+	if _, err := ApplyBudgeted(it, q, meter); err != nil {
+		t.Fatal(err)
+	}
+	cost := meter.Used()
+	for steps := int64(1); steps <= cost; steps++ {
+		ResetCache()
+		l, err := Facets(it, q, budget.New(ctx, steps))
+		for i, v := range verdicts(l) {
+			if v.Known() && v != oracle[i] {
+				t.Errorf("case %d Facets steps=%d: verdict %d is %v, exact %v", ci, steps, i, v, oracle[i])
+			}
+			if !v.Known() && !errors.Is(err, budget.ErrExhausted) {
+				t.Errorf("case %d Facets steps=%d: Unknown without exhaustion: %v", ci, steps, err)
+			}
+		}
+		if steps == cost && (err != nil || verdicts(l) != oracle) {
+			t.Errorf("case %d Facets at the exact cost %d: %v, %v", ci, cost, verdicts(l), err)
+		}
+	}
+	// Cache carry-over: verdicts an exact run cached stand even when a
+	// starved build fails.
+	ResetCache()
+	if _, err := Facets(it, q, nil); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := Facets(it, q, budget.New(ctx, 1)); verdicts(l) != oracle {
+		t.Errorf("case %d Facets on a warm cache: %v, exact %v (%v)", ci, verdicts(l), oracle, err)
 	}
 }
 

@@ -40,18 +40,39 @@ const (
 	kindPossiblyNonEmpty
 )
 
+// newDecisionKey keys the decisions about (it, q); the caller sets kind.
+func newDecisionKey(it *itree.T, q query.Query) decisionKey {
+	return decisionKey{t: it.Fingerprint(), q: intern.String(q.String())}
+}
+
+func (k decisionKey) hash() uint64 {
+	return binary.LittleEndian.Uint64(k.t[:8]) ^ uint64(k.kind)
+}
+
+// lookupDecision returns the memoized verdict under k, if any.
+func lookupDecision(k decisionKey) (v, ok bool) {
+	got, ok := decisionCache.Get(k.hash(), k)
+	if !ok {
+		return false, false
+	}
+	return got.(bool), true
+}
+
+// storeDecision memoizes verdict v under k.
+func storeDecision(k decisionKey, v bool) { decisionCache.Put(k.hash(), k, v) }
+
 // cachedDecision memoizes compute under (it, q, kind). Errors are not
 // cached: compute runs again on the next call.
 func cachedDecision(it *itree.T, q query.Query, kind uint8, compute func() (bool, error)) (bool, error) {
-	key := decisionKey{it.Fingerprint(), intern.String(q.String()), kind}
-	h := binary.LittleEndian.Uint64(key.t[:8]) ^ uint64(kind)
-	if v, ok := decisionCache.Get(h, key); ok {
-		return v.(bool), nil
+	key := newDecisionKey(it, q)
+	key.kind = kind
+	if v, ok := lookupDecision(key); ok {
+		return v, nil
 	}
 	v, err := compute()
 	if err != nil {
 		return false, err
 	}
-	decisionCache.Put(h, key, v)
+	storeDecision(key, v)
 	return v, nil
 }

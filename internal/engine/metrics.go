@@ -16,7 +16,7 @@ func init() {
 		"Worker bound of the default evaluation pool (GOMAXPROCS unless overridden).",
 		func() float64 { return float64(p.workers) })
 	d.CounterFunc("incxml_engine_tasks_total",
-		"Branches evaluated by the default pool (certificates, enumeration chunks, answer facets).",
+		"Tasks run by the default pool (local-answer facets and completion sub-requests).",
 		func() uint64 { return p.tasks.Load() })
 	d.CounterFunc("incxml_engine_worker_launches_total",
 		"Worker goroutines spawned by the default pool (workers are per-call, not persistent).",

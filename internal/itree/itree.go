@@ -42,6 +42,11 @@ type T struct {
 	// carrying condition false); since data trees proper are nonempty, the
 	// possibility is tracked explicitly.
 	MayBeEmpty bool
+
+	// trimmed records that the tree has no useless symbols, so TrimUseless
+	// may return it as is. Only MarkTrimmed sets it, and Clone does not copy
+	// it: clones are mutated in place, which would make the mark stale.
+	trimmed bool
 }
 
 // New returns an empty incomplete tree ready to be populated.
@@ -49,7 +54,16 @@ func New() *T {
 	return &T{Nodes: map[tree.NodeID]NodeInfo{}, Type: ctype.New()}
 }
 
-// Clone returns a deep copy.
+// MarkTrimmed records that it has no useless symbols, so TrimUseless
+// returns it instead of a copy, and returns it. refine.Compact calls it on
+// its result; a marked tree must not be mutated afterwards (mutate a Clone,
+// which is unmarked).
+func (it *T) MarkTrimmed() *T {
+	it.trimmed = true
+	return it
+}
+
+// Clone returns a deep copy. The copy is not marked trimmed.
 func (it *T) Clone() *T {
 	out := New()
 	for n, info := range it.Nodes {
@@ -105,8 +119,12 @@ func (it *T) Empty() bool { return !it.MayBeEmpty && it.effectiveType().Empty() 
 
 // TrimUseless returns a copy with useless symbols (under effective
 // conditions) removed; rep is unchanged. Data nodes no longer referenced by
-// any symbol are dropped from N.
+// any symbol are dropped from N. A tree marked by MarkTrimmed is returned
+// itself, so callers must treat the result as read-only.
 func (it *T) TrimUseless() *T {
+	if it.trimmed {
+		return it
+	}
 	eff := it.effectiveType()
 	useful := eff.Useful()
 	out := New()

@@ -262,24 +262,6 @@ func ExecuteAllPool(ctx context.Context, p *engine.Pool, ex Executor, ls []Local
 	return answers, nil
 }
 
-// ExecuteAllSeq is the pre-scatter serial execution of a completion, kept
-// as the differential-testing baseline: ExecuteAll must produce
-// byte-identical answers in the same order.
-func ExecuteAllSeq(ctx context.Context, ex Executor, ls []LocalQuery) ([]tree.Tree, error) {
-	answers := make([]tree.Tree, len(ls))
-	for i, lq := range ls {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		a, err := ex.AskLocal(ctx, lq)
-		if err != nil {
-			return nil, fmt.Errorf("mediator: local query %d of %d (%s): %w", i+1, len(ls), lq, err)
-		}
-		answers[i] = a
-	}
-	return answers, nil
-}
-
 // Merge adjoins the answers of executed local queries to a base prefix of
 // the document: all inputs must be prefixes of the same world with
 // persistent ids, and the result is the world's prefix induced by the union

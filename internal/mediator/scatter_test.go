@@ -15,6 +15,24 @@ import (
 	"incxml/internal/workload"
 )
 
+// executeAllSeq is the serial execution of a completion, the
+// differential-testing baseline: ExecuteAll must produce byte-identical
+// answers in the same order.
+func executeAllSeq(ctx context.Context, ex Executor, ls []LocalQuery) ([]tree.Tree, error) {
+	answers := make([]tree.Tree, len(ls))
+	for i, lq := range ls {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		a, err := ex.AskLocal(ctx, lq)
+		if err != nil {
+			return nil, fmt.Errorf("mediator: local query %d of %d (%s): %w", i+1, len(ls), lq, err)
+		}
+		answers[i] = a
+	}
+	return answers, nil
+}
+
 // blockingExec blocks every query except the one anchored at failAt until
 // its context is cancelled, and fails the failAt query only after the test
 // has seen the siblings in flight. It is the scripted probe for the
@@ -153,7 +171,7 @@ func TestScatterGatherDifferentialSoak(t *testing.T) {
 			continue
 		}
 		ex := worldExec{world: world}
-		seq, err := ExecuteAllSeq(context.Background(), ex, ls)
+		seq, err := executeAllSeq(context.Background(), ex, ls)
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v", seed, err)
 		}

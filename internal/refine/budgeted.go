@@ -96,6 +96,7 @@ func (r *Refiner) ObserveBudgeted(q query.Query, a tree.Tree, bud *budget.B, shr
 		}
 	}
 	r.cur = next
+	r.reach.Store(nil)
 	r.steps++
 	if degradedNow {
 		r.lossy = true

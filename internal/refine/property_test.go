@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -143,7 +144,9 @@ func TestQuickIntersectSound(t *testing.T) {
 }
 
 // TestCompactIdempotent: Compact(Compact(T)) has the same size and rep as
-// Compact(T).
+// Compact(T). Every Compact result is also really trimmed: it is marked, so
+// TrimUseless returns it as is, and a real trim of its (unmarked) Clone
+// gives the same fingerprint.
 func TestCompactIdempotent(t *testing.T) {
 	world := workload.BlowupWorld()
 	r := NewRefiner(workload.BlowupSigma, nil)
@@ -160,6 +163,44 @@ func TestCompactIdempotent(t *testing.T) {
 	}
 	if eq, diff := itree.EqualRepSets(once, twice, itree.DefaultBounds()); !eq {
 		t.Errorf("Compact changed rep on second application: %s", diff)
+	}
+
+	corpus := map[string]*itree.T{"blowup": once, "blowup twice": twice}
+	for seed := int64(0); seed < 6; seed++ {
+		ty := workload.RandomType(seed, 4)
+		doc, err := workload.RandomTree(ty, seed+5, 2, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRefiner(ty.Alphabet(), ty)
+		for k := int64(0); k < 3; k++ {
+			if _, err := r.ObserveOn(doc, workload.RandomLinearQuery(ty, seed*10+k, 3, 6)); err != nil {
+				t.Fatal(err)
+			}
+			corpus[fmt.Sprintf("random %d step %d tree", seed, k)] = r.Tree()
+			corpus[fmt.Sprintf("random %d step %d reachable", seed, k)] = r.Reachable()
+		}
+	}
+	cat := NewRefiner(workload.CatalogSigma, workload.CatalogType())
+	corpus["catalog pristine"] = cat.Reachable()
+	for i, q := range []query.Query{workload.Query1(200), workload.Query2()} {
+		if _, err := cat.ObserveOn(workload.PaperCatalog(), q); err != nil {
+			t.Fatal(err)
+		}
+		corpus[fmt.Sprintf("catalog step %d", i)] = cat.Reachable()
+	}
+	for name, c := range corpus {
+		if c.TrimUseless() != c {
+			t.Errorf("%s: Compact result not marked trimmed", name)
+		}
+		clone := c.Clone()
+		trimmed := clone.TrimUseless()
+		if trimmed == clone {
+			t.Errorf("%s: Clone carried the trimmed mark", name)
+		}
+		if trimmed.Fingerprint() != c.Fingerprint() {
+			t.Errorf("%s: a real trim changed the Compact result", name)
+		}
 	}
 }
 

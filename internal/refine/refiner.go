@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"incxml/internal/ctype"
 	"incxml/internal/dtd"
@@ -47,12 +48,16 @@ func Refine(t *itree.T, q query.Query, a tree.Tree, sigma []tree.Label) (*itree.
 // Refine chain polynomial for linear queries (Lemma 3.12): there, conditions
 // at each level partition Q, so the product symbols with empty conditions
 // die and the rest stay linear in the query-answer sequence.
+//
+// The result has no useless symbols and is marked so (itree.MarkTrimmed):
+// the trims that answering, certification and completion run first are
+// free on it. Mutate only a Clone of it.
 func Compact(t *itree.T) *itree.T {
 	out := dropUnsatisfiable(t)
 	out = out.TrimUseless()
 	out = mergeCongruent(out)
 	out = shortNames(out)
-	return out
+	return out.MarkTrimmed()
 }
 
 // shortNames renames every symbol to a short canonical name. Product
@@ -290,6 +295,10 @@ type Refiner struct {
 	// fallback (ObserveBudgeted): cur is then a rep-superset of the true
 	// refinement.
 	lossy bool
+	// reach memoizes Reachable for the current cur. It is filled lazily by
+	// the first reader and cleared where ObserveBudgeted assigns cur, the
+	// only place cur changes.
+	reach atomic.Pointer[itree.T]
 }
 
 // NewRefiner starts a refinement chain. The source type may be nil if the
@@ -327,11 +336,22 @@ func (r *Refiner) Tree() *itree.T { return r.cur }
 // Reachable returns the paper's "reachable" incomplete tree: the current
 // refinement further intersected with the source tree type (Theorem 3.5).
 // If no source type is known, it returns the current tree unchanged.
+//
+// The tree is computed once per refiner state and memoized until the next
+// observation, so every caller between two observations gets the same
+// shared tree: treat it as read-only (mutate a Clone). Concurrent readers
+// are safe while no observation runs; two first readers may both compute
+// the tree, and either result is the same value.
 func (r *Refiner) Reachable() *itree.T {
 	if r.source == nil {
 		return r.cur
 	}
-	return Compact(WithTreeType(r.cur, r.source))
+	if t := r.reach.Load(); t != nil {
+		return t
+	}
+	t := Compact(WithTreeType(r.cur, r.source))
+	r.reach.Store(t)
+	return t
 }
 
 // Steps returns the number of observations folded so far.

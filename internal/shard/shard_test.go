@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"incxml/internal/faulty"
+	"incxml/internal/itree"
 	"incxml/internal/tree"
 	"incxml/internal/webhouse"
 	"incxml/internal/workload"
@@ -355,6 +357,58 @@ func TestScatterLocalNeverContactsSources(t *testing.T) {
 		inj, _ := c.Injector(name)
 		if inj.Calls() != before[name] {
 			t.Errorf("ScatterLocal contacted source %s", name)
+		}
+	}
+}
+
+// TestScatterSharesKnowledgeSnapshot runs concurrent local scatters over
+// one generation (run it under -race): every scatter answers and merges its
+// certificate over each source's memoized knowledge snapshot, which must
+// stay the same tree with an unchanged fingerprint.
+func TestScatterSharesKnowledgeSnapshot(t *testing.T) {
+	c, _ := fixture(t, Config{Shards: 2, Retry: fastRetry}, 4)
+	warm(t, c)
+	snaps := map[string]*itree.T{}
+	fps := map[string]itree.FP{}
+	for _, name := range c.Sources() {
+		know, err := c.Knowledge(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[name], fps[name] = know, know.Fingerprint()
+	}
+	const goroutines, rounds = 4, 3
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				// Distinct bounds miss the answer caches, so each scatter
+				// builds its local answers on the shared snapshots.
+				q := workload.Query1(int64(100 + 10*(g*rounds+i)))
+				if i%2 == 1 {
+					q = workload.Query4()
+				}
+				if _, err := c.ScatterLocal(context.Background(), q); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	for name, know := range snaps {
+		if got, err := c.Knowledge(name); err != nil || got != know {
+			t.Errorf("%s: Knowledge changed within one generation (%v)", name, err)
+		}
+		if know.Fingerprint() != fps[name] {
+			t.Errorf("%s: a scatter mutated the shared knowledge snapshot", name)
 		}
 	}
 }

@@ -6,8 +6,12 @@ import (
 	"sync"
 	"testing"
 
+	"incxml/internal/budget"
+	"incxml/internal/certify"
 	"incxml/internal/cond"
 	"incxml/internal/extquery"
+	"incxml/internal/itree"
+	"incxml/internal/refine"
 	"incxml/internal/workload"
 )
 
@@ -175,5 +179,119 @@ func TestConcurrentServing(t *testing.T) {
 	}
 	if !la.Fully {
 		t.Error("Query 3 no longer fully answerable after concurrent storm")
+	}
+	hammerSharedSnapshot(t, wh)
+}
+
+// hammerSharedSnapshot pins the immutability of the memoized knowledge
+// snapshot. Over one generation, concurrent local, complete and extended
+// answers plus the shard scatter's per-source work (a local answer and a
+// certify.Merge over the Knowledge snapshot; shard imports this package, so
+// shard's TestScatterSharesKnowledgeSnapshot hammers the scatter itself)
+// all read one shared tree: Knowledge must return the same pointer with an
+// unchanged fingerprint until an Explore, and the next snapshot must equal
+// a freshly computed reachable tree.
+func hammerSharedSnapshot(t *testing.T, wh *Webhouse) {
+	t.Helper()
+	ctx := context.Background()
+	r, err := wh.Repo("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := r.gen.Load()
+	know, err := wh.Knowledge("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := know.Fingerprint()
+	sameSnapshot := func() error {
+		got, err := wh.Knowledge("catalog")
+		if err != nil {
+			return err
+		}
+		if got != know {
+			return fmt.Errorf("Knowledge returned a new tree within one generation")
+		}
+		return nil
+	}
+	reads := []func(k int) error{
+		func(k int) error {
+			// A distinct bound per call misses the answer cache, so every
+			// call builds q(T) on the shared tree.
+			_, err := wh.AnswerLocally(ctx, "catalog", workload.Query1(int64(100+k)))
+			return err
+		},
+		func(int) error {
+			_, err := wh.AnswerComplete(ctx, "catalog", workload.Query3(100))
+			return err
+		},
+		func(k int) error {
+			q := extquery.Query{Root: extquery.N("catalog", cond.True(),
+				extquery.N("product", cond.LtInt(int64(k))))}
+			_, err := wh.AnswerExtended(ctx, "catalog", q)
+			return err
+		},
+		func(int) error {
+			q := workload.Query4()
+			la, err := wh.AnswerLocally(ctx, "catalog", q)
+			if err != nil {
+				return err
+			}
+			if err := sameSnapshot(); err != nil {
+				return err
+			}
+			certify.Merge(q, map[string]*certify.Certificate{"catalog": la.Certificate},
+				map[string]*itree.T{"catalog": know}, budget.New(ctx, 1<<20))
+			return nil
+		},
+		func(int) error { return sameSnapshot() },
+	}
+	const goroutines = 8
+	const rounds = 10
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := reads[(g+i)%len(reads)](g*rounds + i); err != nil {
+					errc <- fmt.Errorf("goroutine %d round %d: %w", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if r.gen.Load() != gen {
+		t.Fatal("a read changed the generation; the hammer must stay on one snapshot")
+	}
+	if err := sameSnapshot(); err != nil {
+		t.Error(err)
+	}
+	if know.Fingerprint() != fp {
+		t.Error("the shared knowledge snapshot was mutated by a reader")
+	}
+
+	if _, err := wh.Explore(ctx, "catalog", workload.Query2()); err != nil {
+		t.Fatal(err)
+	}
+	next, err := wh.Knowledge("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == know {
+		t.Error("Explore did not replace the knowledge snapshot")
+	}
+	if know.Fingerprint() != fp {
+		t.Error("Explore mutated the previous snapshot")
+	}
+	fresh := refine.Compact(refine.WithTreeType(r.Refiner().Tree(), r.Source.Type))
+	if next.Fingerprint() != fresh.Fingerprint() {
+		t.Error("the snapshot after Explore differs from a freshly computed reachable tree")
 	}
 }

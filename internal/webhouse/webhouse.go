@@ -421,7 +421,9 @@ func (wh *Webhouse) Explore(ctx context.Context, source string, q query.Query) (
 }
 
 // Knowledge returns the reachable incomplete tree for the source. The
-// returned tree is a snapshot: later Explore calls do not mutate it.
+// returned tree is a snapshot: later Explore calls do not mutate it. It is
+// memoized per refiner state (refine.Refiner.Reachable), so every reader
+// between two folds shares the same tree: treat it as read-only.
 func (wh *Webhouse) Knowledge(source string) (*itree.T, error) {
 	r, err := wh.Repo(source)
 	if err != nil {
@@ -544,6 +546,7 @@ func (r *Repository) storeLocal(gen uint64, key intern.ID, la *LocalAnswer) {
 }
 
 // snapshot reads the repository's generation and knowledge consistently.
+// The knowledge is the refiner's shared, read-only reachable tree.
 func (r *Repository) snapshot() (uint64, *itree.T) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -555,14 +558,16 @@ func (r *Repository) snapshot() (uint64, *itree.T) {
 // guaranteeing the fallback itself terminates promptly.
 const fallbackSteps = 1 << 20
 
-// computeLocal evaluates the four local-answer facets of q on know across
-// the worker pool, honoring the context's deadline and the webhouse's
-// per-request step budget. When the deadline expires before every facet
-// ran, the context error is returned instead of a partial answer. When the
-// step allowance runs out, the facets degrade soundly through the
-// Proposition 3.13 lossy-shrinking fallback: verdicts that the rep-superset
-// decides in the sound direction (Fully/CertainlyNonEmpty Yes,
-// PossiblyNonEmpty No) are kept exact, the rest report Unknown.
+// computeLocal answers q on know across the worker pool: the data-tree
+// evaluation and the local-answer facets (q(T), built once, and the three
+// verdicts derived from it) run as two tasks, honoring the context's
+// deadline and the webhouse's per-request step budget. When the deadline
+// expires before both ran, the context error is returned instead of a
+// partial answer. When the step allowance runs out, the facets degrade
+// soundly through the Proposition 3.13 lossy-shrinking fallback: verdicts
+// that the rep-superset decides in the sound direction (Fully/
+// CertainlyNonEmpty Yes, PossiblyNonEmpty No) are kept exact, the rest
+// report Unknown.
 func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Query) (*LocalAnswer, error) {
 	bud := wh.newBudget(ctx)
 	endStage := obs.FromContext(ctx).Stage("local")
@@ -572,28 +577,20 @@ func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Que
 		endStage(used)
 	}()
 	out := &LocalAnswer{}
-	var errs [4]error
+	var f answer.Local
+	var err error
 	tasks := []func(){
-		func() { out.FullyV, errs[0] = answer.FullyAnswerableBudgeted(know, q, bud) },
 		func() { out.Exact = q.Eval(know.DataTree()) },
-		func() { out.Possible, errs[1] = answer.ApplyBudgeted(know, q, bud) },
-		func() { out.CertainlyNonEmptyV, errs[2] = answer.CertainlyNonEmptyBudgeted(know, q, bud) },
-		func() { out.PossiblyNonEmptyV, errs[3] = answer.PossiblyNonEmptyBudgeted(know, q, bud) },
+		func() { f, err = answer.Facets(know, q, bud) },
 	}
 	if err := engine.Default().Each(ctx, len(tasks), func(i int) { tasks[i]() }); err != nil {
 		return nil, err
 	}
-	exhausted := false
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
+	out.Possible, out.FullyV, out.CertainlyNonEmptyV, out.PossiblyNonEmptyV = f.Possible, f.Fully, f.CertainlyNonEmpty, f.PossiblyNonEmpty
+	if err != nil {
 		if !errors.Is(err, budget.ErrExhausted) {
 			return nil, err
 		}
-		exhausted = true
-	}
-	if exhausted {
 		wh.budgetExhaustions.Add(1)
 		out.BudgetExhausted = true
 		if bud.ExhaustedCause() == budget.CauseDeadline {
@@ -647,32 +644,24 @@ func certifySteps(configured int64) int64 {
 // cannot decide soundly stay Unknown.
 func (wh *Webhouse) fallbackLocal(know *itree.T, q query.Query, out *LocalAnswer) {
 	shrunk := heuristics.LossyShrink(know, wh.shrinkCap())
-	fb := budget.New(context.Background(), fallbackSteps)
+	fb, err := answer.Facets(shrunk, q, budget.New(context.Background(), fallbackSteps))
 	used := false
-	if out.FullyV == budget.Unknown {
-		if v, err := answer.FullyAnswerableBudgeted(shrunk, q, fb); err == nil && v == budget.Yes {
-			out.FullyV = budget.Yes
-			used = true
-		}
+	if out.FullyV == budget.Unknown && fb.Fully == budget.Yes {
+		out.FullyV = budget.Yes
+		used = true
 	}
-	if out.CertainlyNonEmptyV == budget.Unknown {
-		if v, err := answer.CertainlyNonEmptyBudgeted(shrunk, q, fb); err == nil && v == budget.Yes {
-			out.CertainlyNonEmptyV = budget.Yes
-			used = true
-		}
+	if out.CertainlyNonEmptyV == budget.Unknown && fb.CertainlyNonEmpty == budget.Yes {
+		out.CertainlyNonEmptyV = budget.Yes
+		used = true
 	}
-	if out.PossiblyNonEmptyV == budget.Unknown {
-		if v, err := answer.PossiblyNonEmptyBudgeted(shrunk, q, fb); err == nil && v == budget.No {
-			out.PossiblyNonEmptyV = budget.No
-			used = true
-		}
+	if out.PossiblyNonEmptyV == budget.Unknown && fb.PossiblyNonEmpty == budget.No {
+		out.PossiblyNonEmptyV = budget.No
+		used = true
 	}
-	if out.Possible == nil {
-		if p, err := answer.ApplyBudgeted(shrunk, q, fb); err == nil {
-			out.Possible = p
-			out.PossibleLossy = true
-			used = true
-		}
+	if err == nil {
+		out.Possible = fb.Possible
+		out.PossibleLossy = true
+		used = true
 	}
 	if used {
 		out.Lossy = true

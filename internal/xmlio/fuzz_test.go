@@ -14,6 +14,7 @@ func FuzzUnmarshal(f *testing.F) {
 		`<a value="zz"/>`,
 		`<a id="x"><b id="x"/></a>`,
 		`<a xmlns="urn:x"><b/></a>`,
+		`<A:0/>`, // prefixed name whose local part is not a name
 	} {
 		f.Add(seed)
 	}

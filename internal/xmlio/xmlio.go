@@ -10,6 +10,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"incxml/internal/ctype"
 	"incxml/internal/itree"
@@ -99,6 +101,12 @@ func Unmarshal(s string) (tree.Tree, error) {
 }
 
 func fromXML(raw xmlNode) (*tree.Node, error) {
+	// A prefixed name such as A:0 is valid XML, but its local part, which
+	// becomes the label, need not be a name on its own; Marshal could not
+	// write it back.
+	if r, _ := utf8.DecodeRuneInString(raw.XMLName.Local); !unicode.IsLetter(r) && r != '_' && r != ':' {
+		return nil, fmt.Errorf("xmlio: element name %q does not start like an XML name", raw.XMLName.Local)
+	}
 	n := &tree.Node{Label: tree.Label(raw.XMLName.Local)}
 	if raw.ID != "" {
 		n.ID = tree.NodeID(raw.ID)
