@@ -43,19 +43,15 @@ import (
 	"incxml/internal/cond"
 	"incxml/internal/conj"
 	"incxml/internal/dtd"
-	"incxml/internal/engine"
 	"incxml/internal/extquery"
 	"incxml/internal/faulty"
 	"incxml/internal/heuristics"
-	"incxml/internal/intern"
 	"incxml/internal/itree"
 	"incxml/internal/mediator"
-	"incxml/internal/obs"
 	"incxml/internal/query"
 	"incxml/internal/rat"
 	"incxml/internal/refine"
 	"incxml/internal/serve"
-	"incxml/internal/store"
 	"incxml/internal/tree"
 	"incxml/internal/webhouse"
 	"incxml/internal/xmlio"
@@ -267,36 +263,9 @@ var (
 // Serving-layer observability. The NP-hard solvers (conjunctive emptiness,
 // bounded enumeration) are single-threaded pruned searches; the engine's
 // worker pool only fans out the webhouse's local-answer facets and
-// completion sub-requests, and its counters surface in WebhouseStats.
-type (
-	// EngineStats reports pool utilization counters.
-	EngineStats = engine.Stats
-	// CacheStats reports hit/miss/eviction counters of a shared cache.
-	CacheStats = engine.CacheStats
-	// WebhouseStats aggregates the serving-layer counters.
-	WebhouseStats = webhouse.Stats
-	// InternID is the stable 64-bit handle of an interned value (see
-	// "Hash-consing & interning" in DESIGN.md). Valid within one process.
-	InternID = intern.ID
-	// InternTableStats reports one intern table's entry count, hit/miss
-	// traffic and bytes saved through sharing.
-	InternTableStats = intern.TableStats
-)
-
-var (
-	// MembershipCacheStats reports the shared membership/prefix cache.
-	MembershipCacheStats = itree.CacheStats
-	// DecisionCacheStats reports the query-decision cache.
-	DecisionCacheStats = answer.CacheStats
-	// InternStats snapshots the process-global intern tables.
-	InternStats = intern.Stats
-	// InternTree hash-conses a data tree, returning its stable ID: equal
-	// trees (children order ignored) share one ID, making repeated
-	// comparisons and cache keys word-sized.
-	InternTree = intern.Tree
-	// InternCond interns a condition by its canonical interval form.
-	InternCond = intern.Cond
-)
+// completion sub-requests, and its counters surface in WebhouseStats,
+// which aggregates the serving-layer counters.
+type WebhouseStats = webhouse.Stats
 
 // Resource budgets (see "Resource budgets & overload control" in
 // DESIGN.md). The NP-hard deciders have budget-guarded three-valued
@@ -404,87 +373,6 @@ var (
 	CertifiedSubquery = certify.Subquery
 	// CompletenessRatio returns a certificate's ratio, tolerating nil.
 	CompletenessRatio = certify.CompletenessRatio
-)
-
-// Observability (see "Observability" in DESIGN.md). Every layer records
-// into metric families named incxml_*; the serving layer exposes them at
-// GET /metrics in Prometheus text format. Recording is on by default and
-// can be disabled process-wide, turning every handle into a no-op.
-type (
-	// MetricsRegistry is a set of metric families; DefaultMetrics holds
-	// the process-global families every layer records into.
-	MetricsRegistry = obs.Registry
-	// Trace is a lightweight per-request span trace; the serving layer
-	// attaches one (Config.Trace) and echoes it in the X-Trace header.
-	Trace = obs.Trace
-)
-
-var (
-	// DefaultMetrics returns the process-global registry.
-	DefaultMetrics = obs.Default
-	// NewMetricsRegistry builds an empty registry (per-server families).
-	NewMetricsRegistry = obs.NewRegistry
-	// SetMetricsEnabled toggles all recording process-wide and returns
-	// the previous setting.
-	SetMetricsEnabled = obs.SetEnabled
-	// StartTrace begins a per-request trace (nil when recording is off).
-	StartTrace = obs.StartTrace
-	// WithTrace and TraceFromContext carry a Trace through a context.
-	WithTrace = obs.WithTrace
-	// TraceFromContext retrieves the context's Trace (nil-safe).
-	TraceFromContext = obs.FromContext
-)
-
-// Durable persistence (see "Durability & crash recovery" in DESIGN.md). A
-// Store journals every acquisition mutation to a checksummed WAL and
-// periodically snapshots each repository in a canonical binary codec;
-// OpenStoreOrRecover replays whatever survives a crash back into a freshly
-// registered webhouse — exactly the pre-crash state, or a quarantined
-// (served-but-degraded) repository when the files are beyond repair.
-type (
-	// Store is the per-webhouse durability layer: snapshot files plus a
-	// checksummed write-ahead log of acquisition events.
-	Store = store.Store
-	// StoreOptions parameterizes a Store: data directory, snapshot
-	// cadence, logger.
-	StoreOptions = store.Options
-	// StoreRecovery reports what a recovery did: snapshots loaded, events
-	// replayed, corrupt records dropped, repositories quarantined.
-	StoreRecovery = store.Recovery
-	// RepositorySnapshot is one repository's durable state in the
-	// canonical binary form — the snapshot file payload and the
-	// rebalancing transfer unit.
-	RepositorySnapshot = store.SnapshotPayload
-	// AcquisitionJournal receives every applied acquisition mutation
-	// (Store implements it; Webhouse.SetJournal installs it).
-	AcquisitionJournal = webhouse.Journal
-	// AcquisitionEvent is one journaled mutation: an observation fold, an
-	// invalidation, a document update, or a wholesale state restore.
-	AcquisitionEvent = webhouse.JournalEvent
-)
-
-var (
-	// OpenStoreOrRecover opens a store, recovers its contents into the
-	// webhouse, and attaches the journal for subsequent mutations.
-	OpenStoreOrRecover = store.OpenOrRecover
-	// EncodeRepositorySnapshot and DecodeRepositorySnapshot are the
-	// canonical binary codec of a repository's durable state.
-	EncodeRepositorySnapshot = store.EncodeSnapshotPayload
-	// DecodeRepositorySnapshot decodes EncodeRepositorySnapshot's bytes.
-	DecodeRepositorySnapshot = store.DecodeSnapshotPayload
-	// EncodeTreeBinary and DecodeTreeBinary are the canonical binary codec
-	// of data trees (intern-aware string sections, deterministic bytes).
-	EncodeTreeBinary = store.EncodeTree
-	// DecodeTreeBinary decodes EncodeTreeBinary's bytes.
-	DecodeTreeBinary = store.DecodeTree
-	// EncodeIncompleteBinary and DecodeIncompleteBinary are the canonical
-	// binary codec of incomplete trees.
-	EncodeIncompleteBinary = store.EncodeIncomplete
-	// DecodeIncompleteBinary decodes EncodeIncompleteBinary's bytes.
-	DecodeIncompleteBinary = store.DecodeIncomplete
-	// ErrCorruptStore matches any decode failure of persisted bytes
-	// (errors.Is); corrupt data degrades, it never panics.
-	ErrCorruptStore = store.ErrCorrupt
 )
 
 // XML serialization.

@@ -498,14 +498,3 @@ func (r *Registry) gather() []*Family {
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
-
-// Families returns the names of every family visible from the registry,
-// sorted.
-func (r *Registry) Families() []string {
-	fams := r.gather()
-	names := make([]string, len(fams))
-	for i, f := range fams {
-		names[i] = f.name
-	}
-	return names
-}

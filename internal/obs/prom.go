@@ -92,8 +92,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // from `name{label="value",...}` to value. Histogram children contribute
 // their `_sum` and `_count` series (buckets are omitted; use
 // WritePrometheus for the full distribution). The map is a point-in-time
-// copy safe to retain — the /stats JSON view and the benchrobust report are
-// built from it.
+// copy safe to retain.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := map[string]float64{}
 	for _, f := range r.gather() {

@@ -105,7 +105,7 @@ func TestStatsAgreesWithMetrics(t *testing.T) {
 	}
 	driveTraffic(t, s)
 	st := s.Stats()
-	snap := s.MetricsSnapshot()
+	snap := s.Registry().Snapshot()
 
 	shared := map[string]float64{
 		`incxml_serve_shed_total{reason="queue_full"}`:   float64(st.ShedQueueFull),

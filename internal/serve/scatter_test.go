@@ -211,7 +211,7 @@ func TestScatterLocalRoute(t *testing.T) {
 		t.Error("scatter-local answer without a scatter-wide certificate")
 	}
 	// Scatter traffic shows up in the per-shard metric families.
-	snap := s.MetricsSnapshot()
+	snap := s.Registry().Snapshot()
 	if snap["incxml_shard_scatters_total"] < 1 {
 		t.Errorf("incxml_shard_scatters_total = %v", snap["incxml_shard_scatters_total"])
 	}

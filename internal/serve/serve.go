@@ -302,12 +302,8 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Registry returns the server's metrics registry (the /metrics source),
-// for embedding and benchmark snapshots.
+// for embedding and for reading samples with Registry.Snapshot.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// MetricsSnapshot flattens the registry into sample name -> value, the
-// form benchrobust embeds in its report.
-func (s *Server) MetricsSnapshot() map[string]float64 { return s.reg.Snapshot() }
 
 // Cluster exposes the shard cluster behind the server (for tests,
 // embedding, and chaos tooling that downs whole shards).

@@ -8,15 +8,17 @@ import (
 
 	"incxml/internal/extquery"
 	"incxml/internal/reductions"
+	"incxml/internal/tree"
 	"incxml/internal/workload"
 )
 
 // TestE25TrafficSmoke is the short-mode E25 smoke: a small generated
 // traffic stream driven through RequestForOp against an unstressed
 // server. Every op must land a 200, extension verdicts must never
-// contradict the in-package oracles, and reduction decisions must match
-// the brute-force deciders — the same contract the full E25 bench checks
-// at scale.
+// contradict the in-package oracles, exact extended answers must match
+// the oracle on every source, and reduction decisions must match the
+// brute-force deciders — the same contract the repository benchmark's
+// mixed workload checks at scale.
 func TestE25TrafficSmoke(t *testing.T) {
 	s, err := New(Config{Timeout: 10 * time.Second, ExtraSources: 2, Seed: 7})
 	if err != nil {
@@ -26,15 +28,28 @@ func TestE25TrafficSmoke(t *testing.T) {
 
 	cfg := workload.TrafficConfig{
 		Seed:     11,
-		Sessions: 12,
+		Sessions: 40,
 		Sources:  []string{"catalog", "cat00", "cat01"},
 	}
 	ops, err := workload.GenerateTraffic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	world := workload.PaperCatalog()
-	extChecked, redChecked := 0, 0
+	// Each source's world is the document the server holds, read back
+	// through the shard that owns it.
+	worlds := map[string]tree.Tree{}
+	for _, name := range cfg.Sources {
+		g, err := s.Cluster().Owner(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repo, err := g.Webhouse().Repo(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worlds[name] = repo.Source.Doc()
+	}
+	extChecked, redChecked := map[string]int{}, 0
 	for _, op := range ops {
 		path, body, err := RequestForOp(op)
 		if err != nil {
@@ -55,14 +70,14 @@ func TestE25TrafficSmoke(t *testing.T) {
 			if !extquery.Class(class).Tractable() && exactV != "unknown" {
 				t.Errorf("op %d/%d: intractable class %q claims %q", op.Session, op.Step, class, exactV)
 			}
-			// Against the paper catalog the oracle is exact; "yes" answers
-			// must match it node-for-node.
-			if op.Source == "catalog" && exactV == "yes" {
-				want := op.Ext.Answer(world).Size()
+			// Against the source's world the oracle is exact; "yes"
+			// answers must match it node-for-node.
+			if exactV == "yes" {
+				want := op.Ext.Answer(worlds[op.Source]).Size()
 				if got := int(dig(m, "answer", "nodes").(float64)); got != want {
-					t.Errorf("op %d/%d: exact answer has %d nodes, oracle %d", op.Session, op.Step, got, want)
+					t.Errorf("op %d/%d: exact answer on %s has %d nodes, oracle %d", op.Session, op.Step, op.Source, got, want)
 				}
-				extChecked++
+				extChecked[op.Source]++
 			}
 		case workload.OpReduction:
 			decision, _ := dig(m, "extension", "decision").(string)
@@ -73,8 +88,11 @@ func TestE25TrafficSmoke(t *testing.T) {
 			redChecked++
 		}
 	}
-	if extChecked == 0 {
-		t.Error("smoke never checked an exact extended answer against the oracle")
+	t.Logf("exact extended answers checked per source: %v", extChecked)
+	for _, name := range cfg.Sources {
+		if extChecked[name] == 0 {
+			t.Errorf("smoke never checked an exact extended answer on %s against the oracle", name)
+		}
 	}
 	if redChecked == 0 {
 		t.Error("smoke never checked a reduction decision")

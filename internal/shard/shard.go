@@ -501,14 +501,6 @@ func (c *Cluster) ScatterComplete(ctx context.Context, q query.Query) (*Scatter,
 	return c.scatter(ctx, q, false, true)
 }
 
-// ScatterCompleteSeq is ScatterComplete without the cross-shard
-// parallelism: shards are visited one after the other. Kept as the
-// differential-testing and benchmarking baseline — answers must be
-// identical to ScatterComplete's, only slower.
-func (c *Cluster) ScatterCompleteSeq(ctx context.Context, q query.Query) (*Scatter, error) {
-	return c.scatter(ctx, q, false, false)
-}
-
 // ScatterLocal answers q from local knowledge only, on every registered
 // source, parallel across shards. No source is contacted.
 func (c *Cluster) ScatterLocal(ctx context.Context, q query.Query) (*Scatter, error) {

@@ -27,7 +27,7 @@ var fastRetry = faulty.RetryConfig{
 
 // fixture builds a cluster over n random catalog sources named src00..,
 // registers them, and returns the cluster plus each source's true world.
-func fixture(t *testing.T, cfg Config, n int) (*Cluster, map[string]tree.Tree) {
+func fixture(t testing.TB, cfg Config, n int) (*Cluster, map[string]tree.Tree) {
 	t.Helper()
 	c := New(cfg)
 	worlds := map[string]tree.Tree{}
@@ -49,7 +49,7 @@ func fixture(t *testing.T, cfg Config, n int) (*Cluster, map[string]tree.Tree) {
 // warm primes every source's knowledge with Query 1 so that Query 4 needs
 // a genuine Theorem 3.19 completion (the fully-answerable shortcut must
 // not fire).
-func warm(t *testing.T, c *Cluster) {
+func warm(t testing.TB, c *Cluster) {
 	t.Helper()
 	ctx := context.Background()
 	for _, name := range c.Sources() {
@@ -206,7 +206,7 @@ func TestScatterDifferentialParallelVsSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := cs.ScatterCompleteSeq(context.Background(), q)
+	ss, err := cs.scatter(context.Background(), q, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,9 +415,9 @@ func TestScatterSharesKnowledgeSnapshot(t *testing.T) {
 
 // TestE22ScatterSmoke is the E22 experiment in miniature: with injected
 // per-call source latency, the parallel scatter across 4 shards must beat
-// the sequential baseline wall-clock on the same cluster shape. Kept loose
-// (strictly faster, no factor) so CI load cannot flake it; the full curve
-// lives in cmd/benchrobust.
+// the sequential reference (scatter with parallel unset) wall-clock on the
+// same cluster shape. Kept loose (strictly faster, no factor) so CI load
+// cannot flake it; BenchmarkE22 below measures the full 1/2/4-shard curve.
 func TestE22ScatterSmoke(t *testing.T) {
 	latency := 10 * time.Millisecond
 	if testing.Short() {
@@ -447,7 +447,7 @@ func TestE22ScatterSmoke(t *testing.T) {
 	}
 	q := workload.Query4()
 	t0 := time.Now()
-	ss, err := cSeq.ScatterCompleteSeq(context.Background(), q)
+	ss, err := cSeq.scatter(context.Background(), q, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,4 +465,82 @@ func TestE22ScatterSmoke(t *testing.T) {
 	if parD >= seqD {
 		t.Errorf("parallel scatter (%v) not faster than sequential (%v)", parD, seqD)
 	}
+}
+
+// BenchmarkE22 is the EXPERIMENTS.md E22 scan: one cluster-wide Query 4
+// completion over 8 sources with 5ms of injected per-call source latency,
+// the parallel scatter against the sequential reference at 1, 2 and 4
+// shards, plus the parallel scatter at 4 shards with one populated shard
+// down. The down shard must degrade its own sources to flagged
+// approximations without stretching the healthy shards' time.
+//
+// Every iteration starts from cold knowledge: Invalidate plus a Query 1
+// warm, off the clock. Without the reset the first completion makes
+// Query 4 fully answerable and later iterations would time nothing.
+func BenchmarkE22(b *testing.B) {
+	ctx := context.Background()
+	q := workload.Query4()
+	cfg := func(shards int) Config {
+		return Config{
+			Shards:   shards,
+			Retry:    fastRetry,
+			Injector: faulty.InjectorConfig{Latency: 5 * time.Millisecond},
+		}
+	}
+	// run times b.N completions; sources in down keep their pre-outage
+	// knowledge, since the reset cannot reach them.
+	run := func(b *testing.B, c *Cluster, parallel bool, down map[string]bool) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for _, name := range c.Sources() {
+				if down[name] {
+					continue
+				}
+				if err := c.Invalidate(name); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.Explore(ctx, name, workload.Query1(200)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+			sc, err := c.scatter(ctx, q, false, parallel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, a := range sc.Answers {
+				if a.Degraded() != down[a.Source] {
+					b.Fatalf("%s: degraded=%v, want %v", a.Source, a.Degraded(), down[a.Source])
+				}
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 4} {
+		for _, parallel := range []bool{true, false} {
+			name := fmt.Sprintf("shards=%d/seq", n)
+			if parallel {
+				name = fmt.Sprintf("shards=%d/scatter", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				c, _ := fixture(b, cfg(n), 8)
+				run(b, c, parallel, nil)
+			})
+		}
+	}
+	b.Run("shards=4/one-down", func(b *testing.B) {
+		c, _ := fixture(b, cfg(4), 8)
+		warm(b, c)
+		down := map[string]bool{}
+		for _, g := range c.Groups() {
+			if srcs := g.Sources(); len(srcs) > 0 {
+				g.SetDown(true)
+				for _, name := range srcs {
+					down[name] = true
+				}
+				break
+			}
+		}
+		run(b, c, true, down)
+	})
 }

@@ -208,7 +208,7 @@ func (r *Repository) resetLocked() {
 // the pristine source-type state and every answer is computed from that
 // empty knowledge — sound but maximally approximate, the Theorem 3.14
 // degraded mode — instead of the process refusing to start. The flag stays
-// set until ClearQuarantine.
+// set for the life of the process.
 func (wh *Webhouse) Quarantine(source string) error {
 	r, err := wh.Repo(source)
 	if err != nil {
@@ -218,17 +218,6 @@ func (wh *Webhouse) Quarantine(source string) error {
 	r.resetLocked()
 	r.mu.Unlock()
 	r.quarantined.Store(true)
-	return nil
-}
-
-// ClearQuarantine lifts the quarantine flag (the knowledge stays as is —
-// typically pristine, to be re-acquired by live traffic).
-func (wh *Webhouse) ClearQuarantine(source string) error {
-	r, err := wh.Repo(source)
-	if err != nil {
-		return err
-	}
-	r.quarantined.Store(false)
 	return nil
 }
 

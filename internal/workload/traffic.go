@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 
 	"incxml/internal/cond"
@@ -59,40 +58,6 @@ func DefaultMix() Mix {
 	return Mix{TrafficCatalog: 4, TrafficBlowup: 2, TrafficPathRE: 2, TrafficJoin: 1, TrafficNegation: 1}
 }
 
-// ParseMix parses "catalog=4,blowup=2,pathre=2,join=1,negation=1".
-// Unknown classes and negative weights are errors; classes left out get
-// weight zero; an all-zero mix is an error.
-func ParseMix(s string) (Mix, error) {
-	m := Mix{}
-	known := map[QueryClass]bool{}
-	for _, c := range TrafficClasses() {
-		known[c] = true
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("workload: mix entry %q is not class=weight", part)
-		}
-		class := QueryClass(strings.TrimSpace(k))
-		if !known[class] {
-			return nil, fmt.Errorf("workload: unknown query class %q", class)
-		}
-		w, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || w < 0 {
-			return nil, fmt.Errorf("workload: bad weight in %q", part)
-		}
-		m[class] = w
-	}
-	if m.total() == 0 {
-		return nil, fmt.Errorf("workload: mix %q has no positive weight", s)
-	}
-	return m, nil
-}
-
 func (m Mix) total() int {
 	t := 0
 	for _, w := range m {
@@ -101,16 +66,26 @@ func (m Mix) total() int {
 	return t
 }
 
-// String renders the mix in canonical class order, skipping zero weights;
-// ParseMix inverts it.
-func (m Mix) String() string {
-	var parts []string
+// validate rejects weights GenerateTraffic cannot draw from: an unknown
+// class, a negative weight, or a non-empty mix with no positive weight.
+// An empty mix is valid and means DefaultMix.
+func (m Mix) validate() error {
+	known := map[QueryClass]bool{}
 	for _, c := range TrafficClasses() {
-		if m[c] > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", c, m[c]))
+		known[c] = true
+	}
+	for c, w := range m {
+		if !known[c] {
+			return fmt.Errorf("workload: unknown query class %q", c)
+		}
+		if w < 0 {
+			return fmt.Errorf("workload: negative weight %d for class %q", w, c)
 		}
 	}
-	return strings.Join(parts, ",")
+	if len(m) > 0 && m.total() == 0 {
+		return fmt.Errorf("workload: mix has no positive weight")
+	}
+	return nil
 }
 
 // pick draws a class with probability proportional to its weight.
@@ -196,7 +171,7 @@ func (cfg TrafficConfig) withDefaults() TrafficConfig {
 	if cfg.ZipfS <= 1 {
 		cfg.ZipfS = 1.3
 	}
-	if cfg.Mix.total() == 0 {
+	if len(cfg.Mix) == 0 {
 		cfg.Mix = DefaultMix()
 	}
 	if cfg.TwigEvery == 0 {
@@ -211,8 +186,13 @@ func (cfg TrafficConfig) withDefaults() TrafficConfig {
 // shape (explore → refine → complete for catalog acquisition, refinement
 // chains for blowup, explore-then-extended-probe for the Section 4
 // classes, plus the twig-from-examples acquisition shape). Equal configs
-// generate equal streams.
+// generate equal streams. A mix with an unknown class, a negative weight
+// or no positive weight is an error: a replayed trace header is outside
+// input.
 func GenerateTraffic(cfg TrafficConfig) ([]Op, error) {
+	if err := cfg.Mix.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(cfg.Sources)-1))

@@ -131,22 +131,37 @@ func TestGenerateTrafficZipfSkew(t *testing.T) {
 	}
 }
 
-func TestParseMix(t *testing.T) {
-	m, err := ParseMix("catalog=4, blowup=2,pathre=1")
+// TestGenerateTrafficRejectsBadMix: a mix GenerateTraffic cannot draw
+// from is an error, never a panic ("invalid argument to Intn" on a
+// negative total) or a silent fallback to catalog traffic (an unknown
+// class). The last row replays a trace whose header, outside input,
+// carries such a mix.
+func TestGenerateTrafficRejectsBadMix(t *testing.T) {
+	trace := `{"config":{"seed":1,"sessions":4,"mix":{"catalog":-5,"join":1}},"ops":0}` + "\n"
+	replayed, _, err := ReadTrace(strings.NewReader(trace))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m[TrafficCatalog] != 4 || m[TrafficBlowup] != 2 || m[TrafficPathRE] != 1 || m[TrafficJoin] != 0 {
-		t.Fatalf("parsed %v", m)
+	for _, tc := range []struct {
+		name string
+		cfg  TrafficConfig
+	}{
+		{"unknown class", TrafficConfig{Mix: Mix{"horn": 1}}},
+		{"unknown class beside a known one", TrafficConfig{Mix: Mix{TrafficCatalog: 1, "horn": 1}}},
+		{"negative weight", TrafficConfig{Mix: Mix{TrafficCatalog: -1}}},
+		{"negative total", TrafficConfig{Mix: Mix{TrafficCatalog: -5, TrafficJoin: 1}}},
+		{"no positive weight", TrafficConfig{Mix: Mix{TrafficCatalog: 0}}},
+		{"replayed trace header", replayed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if ops, err := GenerateTraffic(tc.cfg); err == nil {
+				t.Errorf("mix %v accepted, %d ops", tc.cfg.Mix, len(ops))
+			}
+		})
 	}
-	back, err := ParseMix(m.String())
-	if err != nil || !reflect.DeepEqual(m, back) {
-		t.Fatalf("round trip %v -> %q -> %v (%v)", m, m.String(), back, err)
-	}
-	for _, bad := range []string{"horn=1", "catalog=-1", "catalog", "catalog=0"} {
-		if _, err := ParseMix(bad); err == nil {
-			t.Errorf("ParseMix(%q) accepted", bad)
-		}
+	// An empty mix is the default, not an error.
+	if _, err := GenerateTraffic(TrafficConfig{Mix: Mix{}}); err != nil {
+		t.Errorf("empty mix: %v", err)
 	}
 }
 

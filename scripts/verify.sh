@@ -40,9 +40,11 @@ go test ./internal/conj/ -run TestE21CrossoverSmoke -short -count=1
 
 # E22 smoke (EXPERIMENTS.md): the parallel scatter must beat the sequential
 # fan-out over the same fleet under injected source latency — even on one
-# CPU, the per-shard waits have to overlap. cmd/benchrobust produces the
-# full 1/2/4-shard table and the one-shard-down tail.
+# CPU, the per-shard waits have to overlap. BenchmarkE22 measures the full
+# 1/2/4-shard table and the one-shard-down case; one iteration of each here
+# keeps the benchmark compiling and running.
 go test ./internal/shard/ -run TestE22ScatterSmoke -short -count=1
+go test ./internal/shard/ -run '^$' -bench BenchmarkE22 -benchtime 1x
 
 # E23 smoke (EXPERIMENTS.md): completeness certificates must never
 # overclaim — random outage instances, the certified sub-query's answer over
@@ -62,7 +64,8 @@ go test ./internal/store/ -run TestCrashRecoverySoak -short -count=1
 # E25 smoke (EXPERIMENTS.md): a small generated traffic stream — zipfian
 # sources, session shapes, extension and reduction probes — driven through
 # the HTTP surface; every definite verdict must match the in-package
-# oracles. cmd/benchrobust produces the full per-class latency table.
+# oracles on every source. The repository benchmark's mixed workload
+# (bash bench/run.sh --workload mixed) measures the same stream's latency.
 go test ./internal/serve/ -run TestE25TrafficSmoke -short -count=1
 
 # Fuzz smoke: a couple of seconds per serving-path parser and per
