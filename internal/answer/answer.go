@@ -378,8 +378,8 @@ func MatchSets(w *itree.T, q query.Query) (poss, cert map[PathKey]bool) {
 // symbol carries missing (non-data-node) information; additionally the
 // answer must not be able to silently drop data nodes or become empty while
 // the data tree still matches.
-// Results are memoized per (T, q) in a shared bounded cache (cache.go). It
-// is FullyAnswerableBudgeted with a nil budget.
+// Results are memoized per (T, q) on a marked T (cache.go). It is
+// FullyAnswerableBudgeted with a nil budget.
 func FullyAnswerable(it *itree.T, q query.Query) (bool, error) {
 	v, err := FullyAnswerableBudgeted(it, q, nil)
 	return v == budget.Yes, err
@@ -387,7 +387,7 @@ func FullyAnswerable(it *itree.T, q query.Query) (bool, error) {
 
 // fullyOf decides FullyAnswerable from q(T).
 func fullyOf(ans *itree.T) bool {
-	eff := ansEffective(ans)
+	eff := ans.EffectiveType()
 	useful := eff.Useful()
 	usefulRoots := false
 	for _, r := range ans.Type.Roots {
@@ -424,16 +424,6 @@ func fullyOf(ans *itree.T) bool {
 		}
 	}
 	return true
-}
-
-// ansEffective builds a ctype with effective conditions for usefulness
-// analysis of an answer tree.
-func ansEffective(ans *itree.T) *ctype.Type {
-	out := ans.Type.Clone()
-	for _, s := range out.Symbols() {
-		out.Cond[s] = ans.EffectiveCond(s)
-	}
-	return out
 }
 
 // CertainAnswerPrefix reports whether t is a certain prefix of the answers

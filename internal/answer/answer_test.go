@@ -158,6 +158,12 @@ func TestNonEmptinessModalities(t *testing.T) {
 	if got, _ := PossiblyNonEmpty(it, qx); got {
 		t.Error("PossiblyNonEmpty(x) = true; want false")
 	}
+	// An unmarked tree has no decision memo: after a mutation that admits
+	// the empty world, root/a is no longer certain.
+	it.MayBeEmpty = true
+	if got, err := CertainlyNonEmpty(it, qa); err != nil || got {
+		t.Errorf("CertainlyNonEmpty(root/a) after the mutation = %v, %v; want false", got, err)
+	}
 }
 
 func TestAnswerPrefixModalities(t *testing.T) {

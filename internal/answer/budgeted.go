@@ -14,16 +14,16 @@ import (
 // them. Each returns an exact Yes/No only when the full q(T) construction
 // fit the budget, and Unknown with an error matching
 // budget.ErrExhausted when it did not; a non-budget error (invalid query)
-// also yields Unknown, with the genuine error. Exact results still flow
-// through the shared decision cache — a cache hit answers instantly without
-// spending budget, and exhaustion is never cached (cachedDecision does not
-// cache errors), so a later retry with a larger budget can succeed.
+// also yields Unknown, with the genuine error. Exact results are memoized
+// on a marked knowledge snapshot (cache.go) — a memo hit answers instantly
+// without spending budget, and exhaustion is never stored (cachedDecision
+// does not store errors), so a later retry with a larger budget can succeed.
 //
 // Each verdict rule exists once, as a function of the answer tree q(T)
 // (fullyOf, certainlyOf, possiblyOf); the standalone deciders build q(T)
 // for one verdict, Facets builds it once for all three.
 
-// triDecision runs one cached budgeted decision and folds the outcome into
+// triDecision runs one memoized budgeted decision and folds the outcome into
 // a verdict.
 func triDecision(it *itree.T, q query.Query, kind uint8,
 	compute func() (bool, error)) (budget.Tri, error) {
@@ -66,7 +66,7 @@ func CertainlyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budge
 
 // possiblyOf decides PossiblyNonEmpty from q(T): some answer is nonempty.
 func possiblyOf(ans *itree.T) bool {
-	return len(ans.Type.Roots) > 0 && !ansEffective(ans).Empty()
+	return len(ans.Type.Roots) > 0 && !ans.EffectiveType().Empty()
 }
 
 // certainlyOf decides CertainlyNonEmpty from q(T): no world answers empty,
@@ -88,20 +88,19 @@ type Local struct {
 }
 
 // Facets builds q(T) once under the budget (nil = exact) and derives all
-// three verdicts from it, reading and filling the decision cache under one
-// fingerprint of it. The verdicts equal those of the standalone deciders.
-// When the construction fails — the budget ran out, or q is invalid — the
-// error is returned with Possible nil: verdicts already cached stand, and
-// the others are Unknown.
+// three verdicts from it, reading and filling the decision memo of it. The
+// verdicts equal those of the standalone deciders. When the construction
+// fails — the budget ran out, or q is invalid — the error is returned with
+// Possible nil: verdicts already memoized stand, and the others are
+// Unknown.
 func Facets(it *itree.T, q query.Query, bud *budget.B) (Local, error) {
-	key := newDecisionKey(it, q)
+	key := q.String()
 	kinds := [3]uint8{kindFully, kindCertainlyNonEmpty, kindPossiblyNonEmpty}
 	rules := [3]func(*itree.T) bool{fullyOf, certainlyOf, possiblyOf}
 	var tri [3]budget.Tri
 	var cached [3]bool
 	for i, kind := range kinds {
-		key.kind = kind
-		if v, ok := lookupDecision(key); ok {
+		if v, ok := recall(it, kind, key); ok {
 			tri[i], cached[i] = budget.Of(v), true
 		}
 	}
@@ -114,8 +113,7 @@ func Facets(it *itree.T, q query.Query, bud *budget.B) (Local, error) {
 			tri[i], cause = budget.Unknown, err
 		default:
 			v := rules[i](ans)
-			key.kind = kind
-			storeDecision(key, v)
+			it.Remember(kind, key, v)
 			tri[i] = budget.Of(v)
 		}
 		recordTri(kind, tri[i], cause)

@@ -72,16 +72,17 @@ func TestBudgetedDecidersSoundness(t *testing.T) {
 		{"CertainlyNonEmpty", CertainlyNonEmpty, CertainlyNonEmptyBudgeted},
 	}
 	for ci, c := range budgetedCases(t) {
+		// An unmarked clone has no decision memo, so every call below
+		// decides afresh under its budget.
+		it := c.it.Clone()
 		for _, d := range deciders {
-			ResetCache()
-			oracle, err := d.exact(c.it, c.q)
+			oracle, err := d.exact(it, c.q)
 			if err != nil {
 				t.Fatalf("case %d %s oracle: %v", ci, d.name, err)
 			}
 			for _, steps := range []int64{1, 3, 10, 50, 100000} {
-				ResetCache() // force recomputation under the budget
 				b := budget.New(ctx, steps)
-				tri, err := d.budget_(c.it, c.q, b)
+				tri, err := d.budget_(it, c.q, b)
 				if tri.Known() {
 					if got, _ := tri.Bool(); got != oracle {
 						t.Errorf("case %d %s steps=%d: verdict %v, oracle %v", ci, d.name, steps, tri, oracle)
@@ -92,18 +93,18 @@ func TestBudgetedDecidersSoundness(t *testing.T) {
 					}
 				}
 			}
-			// Cache carry-over: after an exact computation, even a starved
-			// budget answers exactly from the cache.
-			ResetCache()
-			if _, err := d.exact(c.it, c.q); err != nil {
+			// Memo carry-over: after an exact computation on a marked
+			// snapshot, even a starved budget answers exactly from its memo.
+			snap := it.TrimUseless().MarkTrimmed()
+			if _, err := d.exact(snap, c.q); err != nil {
 				t.Fatal(err)
 			}
-			tri, err := d.budget_(c.it, c.q, budget.New(ctx, 1))
+			tri, err := d.budget_(snap, c.q, budget.New(ctx, 1))
 			if err != nil || !tri.Known() {
-				t.Errorf("case %d %s: cache hit did not answer exactly: %v, %v", ci, d.name, tri, err)
+				t.Errorf("case %d %s: memo hit did not answer exactly: %v, %v", ci, d.name, tri, err)
 			}
 		}
-		checkFacets(t, ci, c.it, c.q)
+		checkFacets(t, ci, it, c.q)
 	}
 }
 
@@ -111,7 +112,8 @@ func TestBudgetedDecidersSoundness(t *testing.T) {
 // budget its three verdicts equal the standalone deciders', at every budget
 // from 1 up to the exact cost of building q(T) no definite verdict
 // disagrees with the exact one and Unknown comes only with exhaustion, and
-// cached verdicts survive a starved build.
+// verdicts memoized on a marked snapshot survive a starved build. it must
+// be unmarked, so the budget sweep decides afresh.
 func checkFacets(t *testing.T, ci int, it *itree.T, q query.Query) {
 	t.Helper()
 	ctx := context.Background()
@@ -119,7 +121,6 @@ func checkFacets(t *testing.T, ci int, it *itree.T, q query.Query) {
 	for i, d := range []func(*itree.T, query.Query, *budget.B) (budget.Tri, error){
 		FullyAnswerableBudgeted, CertainlyNonEmptyBudgeted, PossiblyNonEmptyBudgeted,
 	} {
-		ResetCache()
 		v, err := d(it, q, nil)
 		if err != nil {
 			t.Fatalf("case %d decider %d: %v", ci, i, err)
@@ -129,7 +130,6 @@ func checkFacets(t *testing.T, ci int, it *itree.T, q query.Query) {
 	verdicts := func(l Local) [3]budget.Tri {
 		return [3]budget.Tri{l.Fully, l.CertainlyNonEmpty, l.PossiblyNonEmpty}
 	}
-	ResetCache()
 	exact, err := Facets(it, q, nil)
 	if err != nil || exact.Possible == nil {
 		t.Fatalf("case %d Facets exact: %v (Possible %v)", ci, err, exact.Possible)
@@ -143,7 +143,6 @@ func checkFacets(t *testing.T, ci int, it *itree.T, q query.Query) {
 	}
 	cost := meter.Used()
 	for steps := int64(1); steps <= cost; steps++ {
-		ResetCache()
 		l, err := Facets(it, q, budget.New(ctx, steps))
 		for i, v := range verdicts(l) {
 			if v.Known() && v != oracle[i] {
@@ -157,14 +156,14 @@ func checkFacets(t *testing.T, ci int, it *itree.T, q query.Query) {
 			t.Errorf("case %d Facets at the exact cost %d: %v, %v", ci, cost, verdicts(l), err)
 		}
 	}
-	// Cache carry-over: verdicts an exact run cached stand even when a
-	// starved build fails.
-	ResetCache()
-	if _, err := Facets(it, q, nil); err != nil {
+	// Memo carry-over: verdicts an exact run memoized on a marked snapshot
+	// stand even when a starved build fails.
+	snap := it.TrimUseless().MarkTrimmed()
+	if _, err := Facets(snap, q, nil); err != nil {
 		t.Fatal(err)
 	}
-	if l, err := Facets(it, q, budget.New(ctx, 1)); verdicts(l) != oracle {
-		t.Errorf("case %d Facets on a warm cache: %v, exact %v (%v)", ci, verdicts(l), oracle, err)
+	if l, err := Facets(snap, q, budget.New(ctx, 1)); verdicts(l) != oracle {
+		t.Errorf("case %d Facets on a warm memo: %v, exact %v (%v)", ci, verdicts(l), oracle, err)
 	}
 }
 

@@ -1,37 +1,33 @@
 package answer
 
 import (
-	"encoding/binary"
+	"sync/atomic"
 
-	"incxml/internal/engine"
-	"incxml/internal/intern"
 	"incxml/internal/itree"
 	"incxml/internal/query"
 )
 
 // The Boolean decision procedures of this package — full answerability and
 // certain/possible non-emptiness — are pure in (T, q) and are re-evaluated
-// by the webhouse on every routing decision. Their results are memoized in
-// a bounded shared cache keyed by T's content fingerprint and q's canonical
-// string; mutating the knowledge changes its fingerprint, so entries can
-// never go stale.
+// by the webhouse on every routing decision. Their verdicts are memoized on
+// the knowledge snapshot itself (itree.T.Remember), keyed by decision kind
+// and q's canonical string: every reader between two folds shares that
+// snapshot, and a fold replaces it, so an entry can never go stale. An
+// unmarked tree has no memo and decides every time.
 
-var decisionCache = engine.NewCache(1 << 15)
+// decisionHits and decisionMisses count memo lookups, process-wide.
+var decisionHits, decisionMisses atomic.Uint64
 
-// CacheStats reports the decision-procedure cache's counters.
-func CacheStats() engine.CacheStats { return decisionCache.Stats() }
+// CacheStats is a snapshot of the decision-memo counters.
+type CacheStats struct {
+	Hits   uint64
+	Misses uint64
+}
 
-// ResetCache drops the decision-procedure cache.
-func ResetCache() { decisionCache.Reset() }
-
-// decisionKey keys a memoized decision: the knowledge's content fingerprint,
-// the interned ID of the query's canonical string — an 8-byte stable handle
-// instead of the string itself, so key hashing and comparison are
-// fixed-width — and the decision kind.
-type decisionKey struct {
-	t    itree.FP
-	q    intern.ID
-	kind uint8
+// DecisionStats reports the decision-memo counters of every snapshot in
+// the process.
+func DecisionStats() CacheStats {
+	return CacheStats{Hits: decisionHits.Load(), Misses: decisionMisses.Load()}
 }
 
 const (
@@ -40,39 +36,29 @@ const (
 	kindPossiblyNonEmpty
 )
 
-// newDecisionKey keys the decisions about (it, q); the caller sets kind.
-func newDecisionKey(it *itree.T, q query.Query) decisionKey {
-	return decisionKey{t: it.Fingerprint(), q: intern.String(q.String())}
-}
-
-func (k decisionKey) hash() uint64 {
-	return binary.LittleEndian.Uint64(k.t[:8]) ^ uint64(k.kind)
-}
-
-// lookupDecision returns the memoized verdict under k, if any.
-func lookupDecision(k decisionKey) (v, ok bool) {
-	got, ok := decisionCache.Get(k.hash(), k)
-	if !ok {
-		return false, false
+// recall returns the verdict of kind stored on it under the canonical query
+// key, counting the lookup.
+func recall(it *itree.T, kind uint8, key string) (v, ok bool) {
+	v, ok = it.Recall(kind, key)
+	if ok {
+		decisionHits.Add(1)
+	} else {
+		decisionMisses.Add(1)
 	}
-	return got.(bool), true
+	return v, ok
 }
-
-// storeDecision memoizes verdict v under k.
-func storeDecision(k decisionKey, v bool) { decisionCache.Put(k.hash(), k, v) }
 
 // cachedDecision memoizes compute under (it, q, kind). Errors are not
-// cached: compute runs again on the next call.
+// stored: compute runs again on the next call.
 func cachedDecision(it *itree.T, q query.Query, kind uint8, compute func() (bool, error)) (bool, error) {
-	key := newDecisionKey(it, q)
-	key.kind = kind
-	if v, ok := lookupDecision(key); ok {
+	key := q.String()
+	if v, ok := recall(it, kind, key); ok {
 		return v, nil
 	}
 	v, err := compute()
 	if err != nil {
 		return false, err
 	}
-	storeDecision(key, v)
+	it.Remember(kind, key, v)
 	return v, nil
 }

@@ -21,8 +21,16 @@ var triTotal = obs.Default().NewCounterVec(
 	"Answerability/non-emptiness verdicts by procedure, verdict, and unknown-cause.",
 	"proc", "verdict", "cause")
 
+// The decision memo's counters are func-backed views over the atomics
+// DecisionStats reads, under the `incxml_cache_*` families.
 func init() {
-	decisionCache.Expose(obs.Default(), "decision")
+	d := obs.Default()
+	d.NewCounterVec("incxml_cache_hits_total",
+		"Decision lookups answered by a verdict memoized on the knowledge snapshot, by cache.", "cache").
+		Func(decisionHits.Load, "decision")
+	d.NewCounterVec("incxml_cache_misses_total",
+		"Decision lookups that had to compute the verdict, by cache.", "cache").
+		Func(decisionMisses.Load, "decision")
 }
 
 // procName renders a decision kind for the proc metric label.

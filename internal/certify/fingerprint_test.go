@@ -2,12 +2,10 @@ package certify_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"incxml/internal/budget"
 	"incxml/internal/certify"
-	"incxml/internal/intern"
 	"incxml/internal/rat"
 	"incxml/internal/tree"
 	"incxml/internal/workload"
@@ -17,7 +15,7 @@ import (
 // pure function of the answer tree's value — equal trees built in different
 // sibling orders hash identically, different trees hash differently, and
 // the hash is exactly what FingerprintOf recomputes from the tree alone
-// (ROADMAP item 6: no dependence on interning or cache state).
+// (ROADMAP item 6: no dependence on process or cache state).
 func TestFingerprintPureFunctionOfTree(t *testing.T) {
 	a := tree.Tree{Root: tree.NewID("r", "root", rat.Zero,
 		tree.NewID("x", "a", rat.FromInt(1)),
@@ -42,34 +40,25 @@ func TestFingerprintPureFunctionOfTree(t *testing.T) {
 	}
 }
 
-// TestFingerprintIndependentOfInternHistory: interning unrelated trees
-// between two certificate computations over the same knowledge must not
-// change the fingerprint. The old implementation hashed the intern ID of
-// the kept answer — a dense arrival-order identifier — so it was a function
-// of the process's interning history, observable as fingerprint-only
-// envelope drift across a warm restart.
-func TestFingerprintIndependentOfInternHistory(t *testing.T) {
-	know, world := warmCatalog(t)
+// TestFingerprintRecomputable: two certificate computations over the same
+// knowledge report the same fingerprint, and it is exactly FingerprintOf
+// the certified answer, recomputed from the knowledge alone — no process
+// state such as an arrival-order identifier enters it, so it cannot drift
+// across a warm restart.
+func TestFingerprintRecomputable(t *testing.T) {
+	know, _ := warmCatalog(t)
 	q := workload.Query1(200)
 	bud := func() *budget.B { return budget.New(context.Background(), 1<<20) }
 
 	first := certify.Compute(know, q, bud())
-	// Churn the process-global intern table with unrelated content.
-	for i := 0; i < 64; i++ {
-		intern.Tree(tree.Tree{Root: tree.NewID(
-			tree.NodeID(fmt.Sprintf("churn%d", i)), "noise", rat.FromInt(int64(i)))})
-		intern.String(fmt.Sprintf("churn-string-%d", i))
-	}
 	second := certify.Compute(know, q, bud())
 	if first.Fingerprint != second.Fingerprint {
-		t.Fatalf("intern churn changed the fingerprint: %016x vs %016x",
+		t.Fatalf("recomputation changed the fingerprint: %016x vs %016x",
 			first.Fingerprint, second.Fingerprint)
 	}
-	// And the reported value is recomputable from the knowledge alone.
 	want := certify.FingerprintOf(certify.Subquery(q, first.Paths).Eval(know.DataTree()))
 	if first.Fingerprint != want {
 		t.Fatalf("fingerprint %016x is not FingerprintOf(certified answer) %016x",
 			first.Fingerprint, want)
 	}
-	_ = world
 }

@@ -98,43 +98,6 @@ func (c Cond) Not() Cond { return FromSet(c.Set().Complement()) }
 // Minus returns c ∧ ¬d.
 func (c Cond) Minus(d Cond) Cond { return FromSet(c.Set().Minus(d.Set())) }
 
-// AppendKey appends a canonical binary encoding of the condition to dst.
-// Two conditions are logically equivalent iff their keys are byte-equal:
-// the encoding is taken over the eagerly normalized interval form, so it is
-// a faithful identity for interning (the intern package hash-conses
-// conditions by this key).
-func (c Cond) AppendKey(dst []byte) []byte {
-	appendBound := func(dst []byte, b interval.Bound) []byte {
-		switch {
-		case b.Inf < 0:
-			return append(dst, 'n')
-		case b.Inf > 0:
-			return append(dst, 'p')
-		}
-		if b.Closed {
-			dst = append(dst, 'c')
-		} else {
-			dst = append(dst, 'o')
-		}
-		k := b.Value.Key()
-		dst = appendI64(dst, k[0])
-		return appendI64(dst, k[1])
-	}
-	for _, iv := range c.Set().Intervals() {
-		dst = appendBound(dst, iv.Lo)
-		dst = appendBound(dst, iv.Hi)
-	}
-	return dst
-}
-
-// appendI64 appends a fixed-width little-endian encoding of v.
-func appendI64(dst []byte, v int64) []byte {
-	u := uint64(v)
-	return append(dst,
-		byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-}
-
 // Holds reports whether the value v satisfies the condition (v |= c).
 func (c Cond) Holds(v rat.Rat) bool { return c.Set().Contains(v) }
 

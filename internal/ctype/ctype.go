@@ -274,9 +274,10 @@ func (t *Type) String() string {
 // µ(s) has all of its 1/+ items productive.
 func (t *Type) Productive() map[Symbol]bool {
 	prod := map[Symbol]bool{}
+	syms := t.Symbols()
 	for changed := true; changed; {
 		changed = false
-		for _, s := range t.Symbols() {
+		for _, s := range syms {
 			if prod[s] {
 				continue
 			}

@@ -1,13 +1,11 @@
 // Package engine is the shared evaluation substrate of the solver: a
-// bounded worker pool with context-based cancellation, and a bounded
-// concurrency-safe memo cache (cache.go).
+// bounded worker pool with context-based cancellation.
 //
 // The paper's decision procedures run single-threaded: the Theorem 3.10
 // emptiness test is a pruned backtracking search whose memo reuse across
 // branches beats re-deriving branches in parallel (EXPERIMENTS.md E21). The
 // pool fans out independent work around them — the facets of one local
-// answer, the per-source sub-requests of a completion — and the cache
-// answers repeated subderivations (decisions, memberships). The pool is
+// answer, the per-source sub-requests of a completion. The pool is
 // deliberately simple (atomic work-stealing counter, one goroutine per
 // worker, no queues) so that its overhead stays far below the cost of one
 // task.

@@ -54,54 +54,3 @@ func TestDefaultPoolFollowsGOMAXPROCS(t *testing.T) {
 		t.Fatal("default pool has no workers")
 	}
 }
-
-func TestCacheBasics(t *testing.T) {
-	c := NewCache(64)
-	type key struct{ a, b string }
-	k := key{"x", "y"}
-	if _, ok := c.Get(3, k); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.Put(3, k, 42)
-	v, ok := c.Get(3, k)
-	if !ok || v.(int) != 42 {
-		t.Fatalf("Get = %v, %v", v, ok)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("unexpected stats %+v", st)
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatal("Reset left entries behind")
-	}
-}
-
-func TestCacheBounded(t *testing.T) {
-	c := NewCache(128)
-	for i := 0; i < 10000; i++ {
-		c.Put(uint64(i), i, i)
-	}
-	// Shards may briefly exceed perShard by the insert that triggered the
-	// eviction, never by more.
-	if c.Len() > 128+cacheShards {
-		t.Fatalf("cache grew to %d entries, bound 128", c.Len())
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("no evictions recorded despite overflow")
-	}
-}
-
-func TestCacheConcurrent(t *testing.T) {
-	c := NewCache(1024)
-	p := NewPool(8)
-	p.Each(context.Background(), 64, func(i int) {
-		for j := 0; j < 200; j++ {
-			h := uint64(j % 50)
-			c.Put(h, j%50, j)
-			if v, ok := c.Get(h, j%50); ok {
-				_ = v.(int)
-			}
-		}
-	})
-}

@@ -178,6 +178,9 @@ func Of(ivs ...Interval) Set {
 			keep = append(keep, iv)
 		}
 	}
+	if len(keep) == 0 {
+		return Set{}
+	}
 	sort.Slice(keep, func(i, j int) bool {
 		c := keep[i].Lo.cmpValue(keep[j].Lo)
 		if c != 0 {
@@ -186,12 +189,9 @@ func Of(ivs ...Interval) Set {
 		// Closed lower bound starts earlier than open at the same value.
 		return keep[i].Lo.Closed && !keep[j].Lo.Closed
 	})
-	var out []Interval
-	for _, iv := range keep {
-		if len(out) == 0 {
-			out = append(out, iv)
-			continue
-		}
+	// Merge in place: the write index never passes the read index.
+	out := keep[:1]
+	for _, iv := range keep[1:] {
 		last := &out[len(out)-1]
 		if mergeable(*last, iv) {
 			if hiLess(last.Hi, iv.Hi) {

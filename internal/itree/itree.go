@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"incxml/internal/cond"
 	"incxml/internal/ctype"
@@ -43,10 +44,11 @@ type T struct {
 	// possibility is tracked explicitly.
 	MayBeEmpty bool
 
-	// trimmed records that the tree has no useless symbols, so TrimUseless
-	// may return it as is. Only MarkTrimmed sets it, and Clone does not copy
-	// it: clones are mutated in place, which would make the mark stale.
-	trimmed bool
+	// memo is set by MarkTrimmed and marks the tree: it has no useless
+	// symbols, so TrimUseless may return it as is, and it is never mutated
+	// again, so verdicts about it can be stored on it (memo.go). Clone does
+	// not copy it: clones are mutated in place, which would make both stale.
+	memo *memo
 }
 
 // New returns an empty incomplete tree ready to be populated.
@@ -55,11 +57,13 @@ func New() *T {
 }
 
 // MarkTrimmed records that it has no useless symbols, so TrimUseless
-// returns it instead of a copy, and returns it. refine.Compact calls it on
-// its result; a marked tree must not be mutated afterwards (mutate a Clone,
-// which is unmarked).
+// returns it instead of a copy, gives it a memo for Remember, and returns
+// it. refine.Compact calls it on its result; a marked tree must not be
+// mutated afterwards (mutate a Clone, which is unmarked).
 func (it *T) MarkTrimmed() *T {
-	it.trimmed = true
+	if it.memo == nil {
+		it.memo = new(memo)
+	}
 	return it
 }
 
@@ -104,28 +108,31 @@ func (it *T) BaseLabel(s ctype.Symbol) (tree.Label, bool) {
 	return tg.Label, true
 }
 
-// effectiveType builds a ctype whose conditions are the effective ones, for
-// reuse of the generic emptiness/usefulness machinery.
-func (it *T) effectiveType() *ctype.Type {
-	out := it.Type.Clone()
-	for _, s := range out.Symbols() {
+// EffectiveType returns τ with every condition replaced by the effective
+// one (EffectiveCond), for the generic emptiness/usefulness machinery of
+// ctype. Only the condition map is new: roots, µ and σ are shared with τ,
+// so the result must be treated as read-only.
+func (it *T) EffectiveType() *ctype.Type {
+	out := &ctype.Type{Roots: it.Type.Roots, Mu: it.Type.Mu, Sigma: it.Type.Sigma,
+		Cond: make(map[ctype.Symbol]cond.Cond, len(it.Type.Sigma))}
+	for _, s := range it.Type.Symbols() {
 		out.Cond[s] = it.EffectiveCond(s)
 	}
 	return out
 }
 
 // Empty reports whether rep(T) = ∅ (PTIME, as for conditional tree types).
-func (it *T) Empty() bool { return !it.MayBeEmpty && it.effectiveType().Empty() }
+func (it *T) Empty() bool { return !it.MayBeEmpty && it.EffectiveType().Empty() }
 
 // TrimUseless returns a copy with useless symbols (under effective
 // conditions) removed; rep is unchanged. Data nodes no longer referenced by
 // any symbol are dropped from N. A tree marked by MarkTrimmed is returned
 // itself, so callers must treat the result as read-only.
 func (it *T) TrimUseless() *T {
-	if it.trimmed {
+	if it.memo != nil {
 		return it
 	}
-	eff := it.effectiveType()
+	eff := it.EffectiveType()
 	useful := eff.Useful()
 	out := New()
 	// Remove useless symbols using the generic trimmer over a type whose
@@ -162,24 +169,10 @@ func (it *T) TrimUseless() *T {
 // every node whose id is in N is typed by a symbol specializing exactly that
 // node (with matching λ and ν), and no node outside N is typed by a node
 // symbol.
-//
-// Results are memoized in the shared bounded cache (cache.go) keyed by the
-// content fingerprints of T and d, so repeated membership checks against
-// unchanged knowledge are O(|T| + |d|) hashing instead of a typing search.
 func (it *T) Member(d tree.Tree) bool {
 	if d.Root == nil {
 		return it.MayBeEmpty
 	}
-	key := resultKey{it.Fingerprint(), FingerprintTree(d), kindMember}
-	if v, ok := cachedResult(key); ok {
-		return v
-	}
-	v := it.member(d)
-	storeResult(key, v)
-	return v
-}
-
-func (it *T) member(d tree.Tree) bool {
 	// Definition 2.7 requires each data node to appear at most once.
 	counts := map[tree.NodeID]int{}
 	d.Walk(func(n *tree.Node) {
@@ -201,6 +194,12 @@ func (it *T) member(d tree.Tree) bool {
 		}
 	}
 	return false
+}
+
+// memberMemoPool recycles the per-call typing memos of Member, so the
+// subproblem table costs no allocation on the hot path.
+var memberMemoPool = sync.Pool{
+	New: func() any { return make(map[memberKey]bool, 64) },
 }
 
 type memberKey struct {
@@ -459,7 +458,7 @@ func (it *T) Validate() error {
 
 // Witness returns some data tree in rep(T), or false when rep is empty.
 func (it *T) Witness() (tree.Tree, bool) {
-	eff := it.effectiveType()
+	eff := it.EffectiveType()
 	prod := eff.Productive()
 	var build func(s ctype.Symbol) *tree.Node
 	build = func(s ctype.Symbol) *tree.Node {

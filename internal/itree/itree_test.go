@@ -98,6 +98,12 @@ func TestExample22Member(t *testing.T) {
 	if it.Member(tree.Empty()) {
 		t.Error("empty tree accepted without MayBeEmpty")
 	}
+	// An unmarked tree is decided afresh: after a mutation, membership
+	// reflects it.
+	it.Type.Cond["n"] = cond.Eq(v(99))
+	if it.Member(world(0)) {
+		t.Error("mutated tree still reports membership")
+	}
 }
 
 func TestExample22EmptyAndWitness(t *testing.T) {

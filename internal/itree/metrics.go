@@ -13,10 +13,6 @@ var enumTotal = obs.Default().NewCounterVec(
 	"Rep-set enumerations by outcome (complete = exact, exhausted = anytime under-approximation).",
 	"outcome")
 
-func init() {
-	sharedCache.Expose(obs.Default(), "membership")
-}
-
 // recordEnum tags one EnumerateBudgeted outcome and passes the error
 // through, so return sites stay one-liners.
 func recordEnum(err error) error {

@@ -14,27 +14,15 @@ import (
 // symbols, a set Poss(n) of admissible symbols is computed bottom-up over t;
 // at internal nodes, children are assigned to multiplicity-atom items by a
 // degree-constrained bipartite feasibility test.
-// Like Member, the result is memoized in the shared bounded cache keyed by
-// content fingerprints (see cache.go).
 func (it *T) IsPossiblePrefix(t tree.Tree) bool {
 	if t.Root == nil {
 		return !it.Empty()
 	}
-	key := resultKey{it.Fingerprint(), FingerprintTree(t), kindPossiblePrefix}
-	if v, ok := cachedResult(key); ok {
-		return v
-	}
-	v := it.isPossiblePrefix(t)
-	storeResult(key, v)
-	return v
-}
-
-func (it *T) isPossiblePrefix(t tree.Tree) bool {
 	if it.Empty() {
 		return false
 	}
 	// Only nonempty trees of rep(T) can have a nonempty prefix.
-	if it.effectiveType().Empty() {
+	if it.EffectiveType().Empty() {
 		return false
 	}
 	w := it.TrimUseless()
@@ -53,16 +41,6 @@ func (it *T) IsCertainPrefix(t tree.Tree) bool {
 	if t.Root == nil {
 		return !it.Empty()
 	}
-	key := resultKey{it.Fingerprint(), FingerprintTree(t), kindCertainPrefix}
-	if v, ok := cachedResult(key); ok {
-		return v
-	}
-	v := it.isCertainPrefix(t)
-	storeResult(key, v)
-	return v
-}
-
-func (it *T) isCertainPrefix(t tree.Tree) bool {
 	if it.Empty() {
 		return false
 	}

@@ -145,8 +145,9 @@ func TestQuickIntersectSound(t *testing.T) {
 
 // TestCompactIdempotent: Compact(Compact(T)) has the same size and rep as
 // Compact(T). Every Compact result is also really trimmed: it is marked, so
-// TrimUseless returns it as is, and a real trim of its (unmarked) Clone
-// gives the same fingerprint.
+// TrimUseless returns it as is, a real trim of its (unmarked) Clone gives
+// the same content, and verdicts stored on it do not follow it into the
+// Clone.
 func TestCompactIdempotent(t *testing.T) {
 	world := workload.BlowupWorld()
 	r := NewRefiner(workload.BlowupSigma, nil)
@@ -193,12 +194,21 @@ func TestCompactIdempotent(t *testing.T) {
 		if c.TrimUseless() != c {
 			t.Errorf("%s: Compact result not marked trimmed", name)
 		}
+		// A verdict stored on the snapshot stays with it: its Clone, which
+		// may be mutated, starts without a memo.
+		c.Remember(0, "probe", true)
+		if v, ok := c.Recall(0, "probe"); !ok || !v {
+			t.Errorf("%s: Compact result did not keep a stored verdict", name)
+		}
 		clone := c.Clone()
+		if _, ok := clone.Recall(0, "probe"); ok {
+			t.Errorf("%s: Clone carried the snapshot's verdicts", name)
+		}
 		trimmed := clone.TrimUseless()
 		if trimmed == clone {
 			t.Errorf("%s: Clone carried the trimmed mark", name)
 		}
-		if trimmed.Fingerprint() != c.Fingerprint() {
+		if trimmed.String() != c.String() || trimmed.MayBeEmpty != c.MayBeEmpty {
 			t.Errorf("%s: a real trim changed the Compact result", name)
 		}
 	}

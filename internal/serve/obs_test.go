@@ -74,7 +74,7 @@ func TestMetricsFamiliesSpanTheStack(t *testing.T) {
 	// One representative family per layer must be present.
 	for _, name := range []string{
 		"incxml_engine_tasks_total",               // engine pool
-		"incxml_cache_hits_total",                 // shared memo caches
+		"incxml_cache_hits_total",                 // decision memo
 		"incxml_answer_tri_total",                 // answer deciders
 		"incxml_conj_empty_tri_total",             // conjunctive emptiness
 		"incxml_itree_enum_total",                 // enumeration
@@ -85,11 +85,17 @@ func TestMetricsFamiliesSpanTheStack(t *testing.T) {
 		"incxml_webhouse_budget_steps_used",       // steps histogram
 		"incxml_serve_requests_total",             // serving layer
 		"incxml_serve_request_micros",             // latency histogram
-		"incxml_intern_hits_total",                // intern tables (hash-consing)
-		"incxml_intern_entries",                   // intern table sizes
 	} {
 		if _, ok := fams[name]; !ok {
 			t.Errorf("family %s missing from scrape:\n%s", name, text)
+		}
+	}
+	// Decisions are memoized on the knowledge snapshot, so no
+	// process-global table with entries or evictions is left to export.
+	for name := range fams {
+		if strings.HasPrefix(name, "incxml_intern_") ||
+			name == "incxml_cache_entries" || name == "incxml_cache_evictions_total" {
+			t.Errorf("retired family %s is exported", name)
 		}
 	}
 }
@@ -125,7 +131,6 @@ func TestStatsAgreesWithMetrics(t *testing.T) {
 		`incxml_source_rejections_total`:                 float64(st.Source.Rejections),
 		`incxml_cache_hits_total{cache="decision"}`:      float64(st.Decision.Hits),
 		`incxml_cache_misses_total{cache="decision"}`:    float64(st.Decision.Misses),
-		`incxml_cache_hits_total{cache="membership"}`:    float64(st.Membership.Hits),
 		`incxml_engine_tasks_total`:                      float64(st.Engine.Tasks),
 		`incxml_engine_workers`:                          float64(st.Engine.Workers),
 	}

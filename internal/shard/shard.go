@@ -625,9 +625,9 @@ func (c *Cluster) Scatters() (total, degraded uint64) {
 }
 
 // Stats aggregates the serving counters of every shard's webhouse into one
-// cluster view. Per-webhouse counters are summed; the process-global cache
-// and intern sections are taken once (they are shared across shards — see
-// webhouse.Stats).
+// cluster view. Per-webhouse counters are summed; the process-global
+// decision and engine sections are taken once (they are shared across
+// shards — see webhouse.Stats).
 func (c *Cluster) Stats() webhouse.Stats {
 	agg := c.groups[0].wh.Stats()
 	for _, g := range c.groups[1:] {

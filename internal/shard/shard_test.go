@@ -364,18 +364,19 @@ func TestScatterLocalNeverContactsSources(t *testing.T) {
 // TestScatterSharesKnowledgeSnapshot runs concurrent local scatters over
 // one generation (run it under -race): every scatter answers and merges its
 // certificate over each source's memoized knowledge snapshot, which must
-// stay the same tree with an unchanged fingerprint.
+// stay the same tree with unchanged content.
 func TestScatterSharesKnowledgeSnapshot(t *testing.T) {
 	c, _ := fixture(t, Config{Shards: 2, Retry: fastRetry}, 4)
 	warm(t, c)
 	snaps := map[string]*itree.T{}
-	fps := map[string]itree.FP{}
+	contents := map[string]string{}
+	mayBeEmpty := map[string]bool{}
 	for _, name := range c.Sources() {
 		know, err := c.Knowledge(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps[name], fps[name] = know, know.Fingerprint()
+		snaps[name], contents[name], mayBeEmpty[name] = know, know.String(), know.MayBeEmpty
 	}
 	const goroutines, rounds = 4, 3
 	var wg sync.WaitGroup
@@ -407,7 +408,7 @@ func TestScatterSharesKnowledgeSnapshot(t *testing.T) {
 		if got, err := c.Knowledge(name); err != nil || got != know {
 			t.Errorf("%s: Knowledge changed within one generation (%v)", name, err)
 		}
-		if know.Fingerprint() != fps[name] {
+		if know.String() != contents[name] || know.MayBeEmpty != mayBeEmpty[name] {
 			t.Errorf("%s: a scatter mutated the shared knowledge snapshot", name)
 		}
 	}

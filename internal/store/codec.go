@@ -10,10 +10,9 @@
 // the in-memory forms already quotient by (interval normal form for
 // conditions, unordered children for trees). Every payload carries its own
 // string section: strings are interned on first use and later occurrences
-// encode as a varint back-reference, mirroring the process-global intern
-// tables (internal/intern) that the hot paths key by — node ids, labels,
-// and symbol names repeat heavily inside one knowledge state, so the
-// section typically shrinks a payload by well over half.
+// encode as a varint back-reference — node ids, labels, and symbol names
+// repeat heavily inside one knowledge state, so the section typically
+// shrinks a payload by well over half.
 //
 // Robustness contract (enforced by the fuzzers): decoding arbitrary bytes
 // never panics and never allocates proportionally to a declared-but-absent

@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"incxml/internal/answer"
 	"incxml/internal/budget"
-	"incxml/internal/itree"
 	"incxml/internal/query"
 	"incxml/internal/workload"
 )
@@ -78,12 +76,9 @@ func TestBudgetedAnswersSoundUnderConcurrentLoad(t *testing.T) {
 		oracle[i] = la
 	}
 
-	// Starve the instance under test and drop the process-global decision
-	// cache so the storm actually recomputes under the budget (cached
-	// verdicts from the oracle would short-circuit it).
+	// Starve the instance under test. Its knowledge snapshots are its own,
+	// so no verdict the oracle memoized can short-circuit the storm.
 	wh.SetBudget(200)
-	answer.ResetCache()
-	itree.ResetCache()
 
 	check := func(name string, got budget.Tri, want budget.Tri) error {
 		if got.Known() && got != want {
@@ -141,23 +136,18 @@ func TestBudgetedAnswersSoundUnderConcurrentLoad(t *testing.T) {
 	}
 	// The budgeted path must actually be exercised — whether the storm
 	// itself exhausted the 200-step budget depends on how the goroutines
-	// split the cold decision computations across the shared decision
-	// cache, so force one deterministic exhaustion: BlowupQuery(5) is
-	// unrefuted (its possible-answer construction materializes ~65 answer
-	// symbols, and q(T) construction is never memoized), so with a 1-step
-	// budget and the repository's answer cache dropped it cannot complete.
-	wh.SetBudget(1)
-	answer.ResetCache()
-	itree.ResetCache()
-	r, err := wh.Repo("blowup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.invalidate()
-	if _, err := wh.AnswerLocally(ctx, "blowup", workload.BlowupQuery(5)); err != nil && !errors.Is(err, budget.ErrExhausted) {
+	// split the cold decision computations across the shared snapshot
+	// memo, so force one deterministic exhaustion on a fresh fixture, whose
+	// memo and answer caches are empty: BlowupQuery(5) is unrefuted (its
+	// possible-answer construction materializes ~65 answer symbols, and q(T)
+	// construction is never memoized), so with a 1-step budget it cannot
+	// complete.
+	fresh := soakFixture(t)
+	fresh.SetBudget(1)
+	if _, err := fresh.AnswerLocally(ctx, "blowup", workload.BlowupQuery(5)); err != nil && !errors.Is(err, budget.ErrExhausted) {
 		t.Fatalf("forced-exhaustion query: %v", err)
 	}
-	if st := wh.Stats(); st.BudgetExhaustions == 0 {
+	if st := fresh.Stats(); st.BudgetExhaustions == 0 {
 		t.Error("budget exhaustion was never recorded")
 	}
 }

@@ -64,6 +64,39 @@ func TestAnswerCacheHitAndEviction(t *testing.T) {
 				ev.name, before, after)
 		}
 	}
+
+	// A full answer cache stops storing: it still serves correct answers,
+	// computed on every call, and its length stays at the bound.
+	want, err := wh.AnswerLocally(context.Background(), "catalog", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := wh.Repo("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.invalidate()
+	gen := r.gen.Load()
+	for i := 0; len(r.answers) < itree.MemoLimit; i++ {
+		r.storeLocal(gen, fmt.Sprintf("filler%d", i), &LocalAnswer{})
+	}
+	for i := 0; i < 2; i++ {
+		before := wh.Stats()
+		la, err := wh.AnswerLocally(context.Background(), "catalog", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wh.Stats().AnswerCacheMisses != before.AnswerCacheMisses+1 {
+			t.Errorf("full cache: call %d was not computed", i)
+		}
+		if !la.Exact.Equal(want.Exact) || la.FullyV != want.FullyV ||
+			la.CertainlyNonEmptyV != want.CertainlyNonEmptyV || la.PossiblyNonEmptyV != want.PossiblyNonEmptyV {
+			t.Errorf("full cache: call %d answered %+v, want %+v", i, la, want)
+		}
+	}
+	if n := len(r.answers); n != itree.MemoLimit {
+		t.Errorf("full cache grew to %d entries, bound %d", n, itree.MemoLimit)
+	}
 }
 
 func TestAnswerExtendedCached(t *testing.T) {
@@ -95,6 +128,33 @@ func TestAnswerExtendedCached(t *testing.T) {
 	// After invalidation the knowledge is the bare type: the answer shrinks.
 	if a1.Known.Size() != 0 && a2.Known.Size() == a1.Known.Size() && wh.Stats().AnswerCacheMisses == after.AnswerCacheMisses {
 		t.Error("Invalidate did not evict the extended-answer cache")
+	}
+
+	// A full extended-answer cache keeps answering, uncached, at its bound.
+	r, err := wh.Repo("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.invalidate()
+	gen := r.gen.Load()
+	for i := 0; len(r.ext) < itree.MemoLimit; i++ {
+		r.storeExt(gen, fmt.Sprintf("filler%d", i), &ExtendedAnswer{})
+	}
+	for i := 0; i < 2; i++ {
+		before := wh.Stats()
+		a3, err := wh.AnswerExtended(context.Background(), "catalog", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wh.Stats().AnswerCacheMisses != before.AnswerCacheMisses+1 {
+			t.Errorf("full cache: call %d was not computed", i)
+		}
+		if !a3.Known.Equal(a2.Known) || a3.ExactV != a2.ExactV {
+			t.Errorf("full cache: call %d answered %+v, want %+v", i, a3, a2)
+		}
+	}
+	if n := len(r.ext); n != itree.MemoLimit {
+		t.Errorf("full extended cache grew to %d entries, bound %d", n, itree.MemoLimit)
 	}
 }
 
@@ -188,8 +248,8 @@ func TestConcurrentServing(t *testing.T) {
 // answers plus the shard scatter's per-source work (a local answer and a
 // certify.Merge over the Knowledge snapshot; shard imports this package, so
 // shard's TestScatterSharesKnowledgeSnapshot hammers the scatter itself)
-// all read one shared tree: Knowledge must return the same pointer with an
-// unchanged fingerprint until an Explore, and the next snapshot must equal
+// all read one shared tree: Knowledge must return the same pointer with
+// unchanged content until an Explore, and the next snapshot must equal
 // a freshly computed reachable tree.
 func hammerSharedSnapshot(t *testing.T, wh *Webhouse) {
 	t.Helper()
@@ -203,7 +263,8 @@ func hammerSharedSnapshot(t *testing.T, wh *Webhouse) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := know.Fingerprint()
+	// The snapshot's content, to check that no reader moved it.
+	content, mayBeEmpty := know.String(), know.MayBeEmpty
 	sameSnapshot := func() error {
 		got, err := wh.Knowledge("catalog")
 		if err != nil {
@@ -273,7 +334,7 @@ func hammerSharedSnapshot(t *testing.T, wh *Webhouse) {
 	if err := sameSnapshot(); err != nil {
 		t.Error(err)
 	}
-	if know.Fingerprint() != fp {
+	if know.String() != content || know.MayBeEmpty != mayBeEmpty {
 		t.Error("the shared knowledge snapshot was mutated by a reader")
 	}
 
@@ -287,11 +348,11 @@ func hammerSharedSnapshot(t *testing.T, wh *Webhouse) {
 	if next == know {
 		t.Error("Explore did not replace the knowledge snapshot")
 	}
-	if know.Fingerprint() != fp {
+	if know.String() != content || know.MayBeEmpty != mayBeEmpty {
 		t.Error("Explore mutated the previous snapshot")
 	}
 	fresh := refine.Compact(refine.WithTreeType(r.Refiner().Tree(), r.Source.Type))
-	if next.Fingerprint() != fresh.Fingerprint() {
+	if next.String() != fresh.String() || next.MayBeEmpty != fresh.MayBeEmpty {
 		t.Error("the snapshot after Explore differs from a freshly computed reachable tree")
 	}
 }

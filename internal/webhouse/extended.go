@@ -11,7 +11,6 @@ import (
 	"incxml/internal/certify"
 	"incxml/internal/cond"
 	"incxml/internal/extquery"
-	"incxml/internal/intern"
 	"incxml/internal/itree"
 	"incxml/internal/obs"
 	"incxml/internal/query"
@@ -112,9 +111,9 @@ func extKey(q extquery.Query) string {
 }
 
 // storeExt is storeLocal's counterpart for extended answers.
-func (r *Repository) storeExt(gen uint64, key intern.ID, ea *ExtendedAnswer) {
+func (r *Repository) storeExt(gen uint64, key string, ea *ExtendedAnswer) {
 	r.cacheMu.Lock()
-	if r.gen.Load() == gen {
+	if r.gen.Load() == gen && len(r.ext) < itree.MemoLimit {
 		r.ext[key] = ea
 	}
 	r.cacheMu.Unlock()
@@ -134,7 +133,7 @@ func (wh *Webhouse) AnswerExtended(ctx context.Context, source string, q extquer
 	if err != nil {
 		return nil, err
 	}
-	key := intern.String(extKey(q))
+	key := extKey(q)
 	r.cacheMu.Lock()
 	ea, ok := r.ext[key]
 	r.cacheMu.Unlock()

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"incxml/internal/faulty"
-	"incxml/internal/intern"
 	"incxml/internal/mediator"
 	"incxml/internal/query"
 	"incxml/internal/tree"
@@ -421,7 +420,7 @@ func TestInvalidateGenerationAtomic(t *testing.T) {
 				return
 			default:
 				gen := r.gen.Load()
-				r.storeLocal(gen, intern.String(fmt.Sprintf("g%d", gen)), &LocalAnswer{})
+				r.storeLocal(gen, fmt.Sprintf("g%d", gen), &LocalAnswer{})
 			}
 		}
 	}()
@@ -434,9 +433,9 @@ func TestInvalidateGenerationAtomic(t *testing.T) {
 		r.cacheMu.Lock()
 		g1 := r.gen.Load()
 		for k := range r.answers {
-			if k != intern.String(fmt.Sprintf("g%d", g1)) {
+			if k != fmt.Sprintf("g%d", g1) {
 				r.cacheMu.Unlock()
-				t.Fatalf("cache entry %d visible at generation %d: invalidate is not atomic", k, g1)
+				t.Fatalf("cache entry %s visible at generation %d: invalidate is not atomic", k, g1)
 			}
 		}
 		for i := 0; i < 200; i++ { // dwell inside the critical section
@@ -449,10 +448,9 @@ func TestInvalidateGenerationAtomic(t *testing.T) {
 	}
 }
 
-// Satellite 3: the decision and membership caches in Stats are
-// process-global — two webhouses report identical counters and see each
-// other's traffic — while the answer-cache and degradation counters stay
-// per-webhouse.
+// The decision-memo counters in Stats are process-global — two webhouses
+// report identical counters and see each other's traffic — while the
+// answer-cache and degradation counters stay per-webhouse.
 func TestStatsGlobalCachesSharedAcrossWebhouses(t *testing.T) {
 	wh1, _ := newCatalogWebhouse(t)
 	wh2, _ := newCatalogWebhouse(t)
@@ -465,11 +463,11 @@ func TestStatsGlobalCachesSharedAcrossWebhouses(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1, s2 := wh1.Stats(), wh2.Stats()
-	if s1.Decision != s2.Decision || s1.Membership != s2.Membership {
-		t.Errorf("global cache counters diverge between webhouses:\n%+v\n%+v", s1, s2)
+	if s1.Decision != s2.Decision {
+		t.Errorf("global decision counters diverge between webhouses:\n%+v\n%+v", s1, s2)
 	}
 	if s2.Decision.Hits+s2.Decision.Misses <= base.Decision.Hits+base.Decision.Misses {
-		t.Error("wh1's decision-cache traffic invisible to wh2: cache not shared?")
+		t.Error("wh1's decision-memo traffic invisible to wh2: counters not shared?")
 	}
 	if s2.AnswerCacheMisses != base.AnswerCacheMisses || s2.DegradedAnswers != base.DegradedAnswers {
 		t.Error("per-webhouse counters leaked across instances")

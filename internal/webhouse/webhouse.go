@@ -44,7 +44,6 @@ import (
 	"incxml/internal/engine"
 	"incxml/internal/faulty"
 	"incxml/internal/heuristics"
-	"incxml/internal/intern"
 	"incxml/internal/itree"
 	"incxml/internal/mediator"
 	"incxml/internal/obs"
@@ -151,8 +150,8 @@ type Repository struct {
 
 	cacheMu sync.Mutex
 	gen     atomic.Uint64
-	answers map[intern.ID]*LocalAnswer
-	ext     map[intern.ID]*ExtendedAnswer
+	answers map[string]*LocalAnswer
+	ext     map[string]*ExtendedAnswer
 
 	// quarantined marks a repository recovery could not restore: it serves
 	// from pristine (empty) knowledge, flagged so operators and stats can
@@ -167,8 +166,8 @@ type Repository struct {
 func (r *Repository) invalidate() {
 	r.cacheMu.Lock()
 	r.gen.Add(1)
-	r.answers = map[intern.ID]*LocalAnswer{}
-	r.ext = map[intern.ID]*ExtendedAnswer{}
+	r.answers = map[string]*LocalAnswer{}
+	r.ext = map[string]*ExtendedAnswer{}
 	r.cacheMu.Unlock()
 }
 
@@ -259,8 +258,8 @@ func (wh *Webhouse) Register(src *Source) {
 		Source:  src,
 		client:  faulty.NewDirect(src),
 		refiner: refine.NewRefiner(src.Type.Alphabet(), src.Type),
-		answers: map[intern.ID]*LocalAnswer{},
-		ext:     map[intern.ID]*ExtendedAnswer{},
+		answers: map[string]*LocalAnswer{},
+		ext:     map[string]*ExtendedAnswer{},
 	}
 }
 
@@ -309,8 +308,7 @@ func (wh *Webhouse) Sources() []string {
 }
 
 // Stats aggregates the serving-layer counters: the per-source answer cache,
-// the shared decision and membership caches, source-access reliability, and
-// the worker pool.
+// the decision memo, source-access reliability, and the worker pool.
 type Stats struct {
 	// AnswerCacheHits/Misses count AnswerLocally and AnswerExtended lookups
 	// served from (resp. missing) the per-source answer caches. These are
@@ -328,25 +326,16 @@ type Stats struct {
 	// Source aggregates retry/breaker counters over every repository whose
 	// client exposes faulty.ClientStats (direct clients report nothing).
 	Source faulty.ClientStats
-	// Decision is the answer package's decision-procedure cache and
-	// Membership the itree membership/prefix result cache. Both caches are
-	// PROCESS-GLOBAL: all webhouses (and direct itree/answer callers) in
-	// the process share them, because entries are keyed by content
-	// fingerprints and are therefore valid across instances. Two webhouses
-	// in one process deliberately see each other's traffic in these two
-	// counters; treat them as process gauges, not per-webhouse ones.
-	Decision engine.CacheStats
-	// Membership is the itree membership/prefix result cache (shared; see
-	// Decision).
-	Membership engine.CacheStats
+	// Decision counts the answer package's decision-memo lookups. The
+	// verdicts live on the knowledge snapshots, but the counters are
+	// PROCESS-GLOBAL: all webhouses (and direct answer callers) in the
+	// process add to them, so two webhouses in one process deliberately see
+	// each other's traffic here; treat them as process gauges, not
+	// per-webhouse ones.
+	Decision answer.CacheStats
 	// Engine reports the process-global default pool's utilization (a
-	// process gauge, like Decision/Membership).
+	// process gauge, like Decision).
 	Engine engine.Stats
-	// Intern reports the process-global intern tables (strings, conditions,
-	// hash-consed trees): entry counts, hit/miss traffic, and the bytes of
-	// duplicate content the sharing avoided. Like Decision/Membership these
-	// are process gauges, not per-webhouse ones.
-	Intern []intern.TableStats
 }
 
 // clientStats is implemented by clients that track reliability counters
@@ -363,10 +352,8 @@ func (wh *Webhouse) Stats() Stats {
 		BudgetExhaustions: wh.budgetExhaustions.Load(),
 		LossyFallbacks:    wh.lossyFallbacks.Load(),
 		Source:            src,
-		Decision:          answer.CacheStats(),
-		Membership:        itree.CacheStats(),
+		Decision:          answer.DecisionStats(),
 		Engine:            engine.Default().Stats(),
-		Intern:            intern.Stats(),
 	}
 }
 
@@ -521,7 +508,7 @@ type LocalAnswer struct {
 
 // lookupLocal consults a repository answer cache; see storeLocal for the
 // staleness protocol.
-func (wh *Webhouse) lookupLocal(r *Repository, key intern.ID) (*LocalAnswer, bool) {
+func (wh *Webhouse) lookupLocal(r *Repository, key string) (*LocalAnswer, bool) {
 	r.cacheMu.Lock()
 	la, ok := r.answers[key]
 	r.cacheMu.Unlock()
@@ -534,12 +521,14 @@ func (wh *Webhouse) lookupLocal(r *Repository, key intern.ID) (*LocalAnswer, boo
 }
 
 // storeLocal inserts a computed answer unless the knowledge changed since
-// the computation started. invalidate bumps gen and clears the maps in one
-// cacheMu critical section, so the gen check under cacheMu is exact: the
-// insert happens iff no invalidation intervened since the snapshot.
-func (r *Repository) storeLocal(gen uint64, key intern.ID, la *LocalAnswer) {
+// the computation started, or the map already holds itree.MemoLimit
+// answers (a flood of distinct queries then computes instead of growing
+// the heap). invalidate bumps gen and clears the maps in one cacheMu
+// critical section, so the gen check under cacheMu is exact: the insert
+// happens iff no invalidation intervened since the snapshot.
+func (r *Repository) storeLocal(gen uint64, key string, la *LocalAnswer) {
 	r.cacheMu.Lock()
-	if r.gen.Load() == gen {
+	if r.gen.Load() == gen && len(r.answers) < itree.MemoLimit {
 		r.answers[key] = la
 	}
 	r.cacheMu.Unlock()
@@ -681,10 +670,7 @@ func (wh *Webhouse) AnswerLocally(ctx context.Context, source string, q query.Qu
 	if err != nil {
 		return nil, err
 	}
-	// The canonical query string is interned once; the cache map is keyed by
-	// the stable 8-byte ID, so repeated lookups compare and hash a word
-	// instead of re-hashing the rendered query.
-	key := intern.String(q.String())
+	key := q.String()
 	if la, ok := wh.lookupLocal(r, key); ok {
 		cp := *la
 		return &cp, nil

@@ -15,8 +15,8 @@ cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "e21" ]; then
 	shift
-	exec go test -bench 'EmptyScan|EmptySequentialHardEmpty|Canonical|Fingerprint|FreshID' \
-		-benchmem -run '^$' ./internal/conj ./internal/itree ./internal/tree "$@"
+	exec go test -bench 'EmptyScan|EmptySequentialHardEmpty|Canonical|FreshID' \
+		-benchmem -run '^$' ./internal/conj ./internal/tree "$@"
 fi
 
 go run ./cmd/benchrobust -out BENCH_robustness.json "$@"
