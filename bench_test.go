@@ -503,24 +503,31 @@ func BenchmarkE17Lossy(b *testing.B) {
 // bound): identical rep, very different sizes and costs.
 func BenchmarkAblationCompact(b *testing.B) {
 	world := workload.BlowupWorld()
-	for _, compact := range []bool{true, false} {
-		name := "compact=on"
-		if !compact {
-			name = "compact=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := refine.NewRefiner(workload.BlowupSigma, nil)
-				r.CompactEach = compact
-				for _, q := range workload.BlowupWorkload(5) {
-					if _, err := r.ObserveOn(world, q); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("compact=on", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r := refine.NewRefiner(workload.BlowupSigma, nil)
+			for _, q := range workload.BlowupWorkload(5) {
+				if _, err := r.ObserveOn(world, q); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(r.Tree().Size()), "repsize")
 			}
-		})
-	}
+			b.ReportMetric(float64(r.Tree().Size()), "repsize")
+		}
+	})
+	// Refine itself never compacts.
+	b.Run("compact=off", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cur := refine.Universal(workload.BlowupSigma)
+			for _, q := range workload.BlowupWorkload(5) {
+				next, err := refine.Refine(cur, q, q.Eval(world), workload.BlowupSigma)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cur = next
+			}
+			b.ReportMetric(float64(cur.Size()), "repsize")
+		}
+	})
 }
 
 // BenchmarkAblationConjEmptiness compares the two emptiness procedures for

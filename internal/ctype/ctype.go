@@ -16,8 +16,6 @@ import (
 
 	"incxml/internal/cond"
 	"incxml/internal/dtd"
-	"incxml/internal/matching"
-	"incxml/internal/rat"
 	"incxml/internal/tree"
 )
 
@@ -401,133 +399,6 @@ func (t *Type) TrimUseless() *Type {
 	return out
 }
 
-// Member reports whether the data tree d (over the base alphabet Σ) belongs
-// to rep(τ): there is a tree T′ over Σ′ with σ(T′) = d satisfying roots,
-// conditions and multiplicity atoms. Node-targeted symbols additionally pin
-// the node id (used by incomplete trees; plain conditional types have no
-// node targets).
-//
-// Typing is computed by memoized recursion; children-to-atom assignment is a
-// degree-constrained bipartite feasibility problem (matching.Feasible).
-func (t *Type) Member(d tree.Tree) bool {
-	if d.Root == nil {
-		return false
-	}
-	memo := map[memoKey]bool{}
-	for _, r := range t.Roots {
-		if t.canType(d.Root, r, memo) {
-			return true
-		}
-	}
-	return false
-}
-
-type memoKey struct {
-	node tree.NodeID
-	sym  Symbol
-}
-
-func (t *Type) canType(n *tree.Node, s Symbol, memo map[memoKey]bool) bool {
-	key := memoKey{n.ID, s}
-	if v, ok := memo[key]; ok {
-		return v
-	}
-	// Provisional false guards against cycles (which cannot type a finite
-	// tree anyway).
-	memo[key] = false
-	v := t.canTypeUncached(n, s, memo)
-	memo[key] = v
-	return v
-}
-
-func (t *Type) canTypeUncached(n *tree.Node, s Symbol, memo map[memoKey]bool) bool {
-	tg := t.TargetFor(s)
-	if tg.IsNode() {
-		if n.ID != tg.Node {
-			return false
-		}
-	} else if n.Label != tg.Label {
-		return false
-	}
-	if !t.CondFor(s).Holds(n.Value) {
-		return false
-	}
-	for _, a := range t.DisjFor(s) {
-		if t.atomMatches(n.Children, a, memo) {
-			return true
-		}
-	}
-	return false
-}
-
-func (t *Type) atomMatches(children []*tree.Node, a SAtom, memo map[memoKey]bool) bool {
-	allowed := make([][]int, len(children))
-	for j, c := range children {
-		for i, it := range a {
-			if t.canType(c, it.Sym, memo) {
-				allowed[j] = append(allowed[j], i)
-			}
-		}
-		if len(allowed[j]) == 0 {
-			return false
-		}
-	}
-	lo := make([]int, len(a))
-	hi := make([]int, len(a))
-	for i, it := range a {
-		lo[i], hi[i] = it.Mult.Bounds()
-		if hi[i] < 0 {
-			hi[i] = matching.Unbounded
-		}
-	}
-	return matching.Feasible(len(children), allowed, lo, hi)
-}
-
-// WitnessTree produces some data tree in rep(τ), or false if empty. The tree
-// uses fresh node ids for label-targeted symbols and the pinned id for
-// node-targeted symbols; values are witnesses of the symbol conditions.
-// Starred/optional children are instantiated at their lower bounds, so the
-// result is a minimal witness.
-func (t *Type) WitnessTree() (tree.Tree, bool) {
-	prod := t.Productive()
-	var build func(s Symbol) *tree.Node
-	build = func(s Symbol) *tree.Node {
-		tg := t.TargetFor(s)
-		w, _ := t.CondFor(s).Witness()
-		var n *tree.Node
-		if tg.IsNode() {
-			n = tree.NewID(tg.Node, tree.Label("@"+string(tg.Node)), w)
-		} else {
-			n = tree.New(tg.Label, w)
-		}
-		for _, a := range t.DisjFor(s) {
-			ok := true
-			for _, it := range a {
-				if (it.Mult == dtd.One || it.Mult == dtd.Plus) && !prod[it.Sym] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			for _, it := range a {
-				if it.Mult == dtd.One || it.Mult == dtd.Plus {
-					n.Children = append(n.Children, build(it.Sym))
-				}
-			}
-			return n
-		}
-		return n
-	}
-	for _, r := range t.Roots {
-		if prod[r] {
-			return tree.Tree{Root: build(r)}, true
-		}
-	}
-	return tree.Tree{}, false
-}
-
 // Rename returns a copy of the type with every symbol passed through f.
 // Used by product constructions to keep symbol names unique.
 func (t *Type) Rename(f func(Symbol) Symbol) *Type {
@@ -553,10 +424,4 @@ func (t *Type) Rename(f func(Symbol) Symbol) *Type {
 		out.Sigma[f(s)] = tg
 	}
 	return out
-}
-
-// FixedValue returns the single admissible value for s when cond(s) is an
-// equality, following the paper's cond(a) = v notation.
-func (t *Type) FixedValue(s Symbol) (rat.Rat, bool) {
-	return t.CondFor(s).AsPoint()
 }

@@ -6,11 +6,7 @@ import (
 
 	"incxml/internal/cond"
 	"incxml/internal/dtd"
-	"incxml/internal/rat"
-	"incxml/internal/tree"
 )
-
-func v(n int64) rat.Rat { return rat.FromInt(n) }
 
 // simpleType builds: root r; r -> a* b+ | c?; a leaf with cond != 0;
 // b leaf; c leaf with unsatisfiable cond.
@@ -45,17 +41,6 @@ func TestFromDTD(t *testing.T) {
 	}
 	if ct.Empty() {
 		t.Error("catalog type should be nonempty")
-	}
-	// Conformance must agree with the dtd validator on label-only trees.
-	good := tree.Tree{Root: tree.New("catalog", rat.Zero,
-		tree.New("product", rat.Zero,
-			tree.New("name", rat.Zero), tree.New("price", rat.Zero)))}
-	if ct.Member(good) != base.Conforms(good) || !ct.Member(good) {
-		t.Error("membership disagrees with dtd validation on a valid tree")
-	}
-	bad := tree.Tree{Root: tree.New("catalog", rat.Zero)}
-	if ct.Member(bad) {
-		t.Error("catalog with no product accepted")
 	}
 }
 
@@ -133,117 +118,10 @@ func TestTrimUseless(t *testing.T) {
 	if _, ok := trimmed.Sigma["c"]; ok {
 		t.Error("dead c survived trimming")
 	}
-	// Semantics preserved on a sample.
-	sample := tree.Tree{Root: tree.New("r", rat.Zero,
-		tree.New("a", v(1)), tree.New("b", rat.Zero))}
-	if ty.Member(sample) != trimmed.Member(sample) {
-		t.Error("trim changed membership")
-	}
-	// The disjunct requiring c is gone but its ?-item sibling case remains:
-	// the second disjunct becomes the empty atom (c dropped).
-	leaf := tree.Tree{Root: tree.New("r", rat.Zero)}
-	if !trimmed.Member(leaf) {
-		t.Error("leaf root should remain a member after trim (c? dropped)")
-	}
-	if !ty.Member(leaf) {
-		t.Error("leaf root should be a member before trim")
-	}
-}
-
-func TestMemberConditions(t *testing.T) {
-	ty := simpleType()
-	ok := tree.Tree{Root: tree.New("r", rat.Zero,
-		tree.New("a", v(5)), tree.New("b", rat.Zero))}
-	if !ty.Member(ok) {
-		t.Error("valid tree rejected")
-	}
-	badValue := tree.Tree{Root: tree.New("r", rat.Zero,
-		tree.New("a", v(0)), tree.New("b", rat.Zero))}
-	if ty.Member(badValue) {
-		t.Error("a=0 violates cond(a) != 0 but was accepted")
-	}
-	noB := tree.Tree{Root: tree.New("r", rat.Zero, tree.New("a", v(1)))}
-	if ty.Member(noB) {
-		t.Error("missing required b accepted")
-	}
-	manyB := tree.Tree{Root: tree.New("r", rat.Zero,
-		tree.New("b", rat.Zero), tree.New("b", rat.Zero), tree.New("b", rat.Zero))}
-	if !ty.Member(manyB) {
-		t.Error("b+ with three b rejected")
-	}
-	wrongLabel := tree.Tree{Root: tree.New("x", rat.Zero)}
-	if ty.Member(wrongLabel) {
-		t.Error("wrong root label accepted")
-	}
-	if ty.Member(tree.Empty()) {
-		t.Error("empty tree accepted")
-	}
-}
-
-func TestMemberSpecialization(t *testing.T) {
-	// Two specializations of label a with disjoint conditions and different
-	// allowed children: cheap a (<100) must be a leaf; expensive a (>=100)
-	// must have one b child.
-	ty := New()
-	ty.Roots = []Symbol{"r"}
-	ty.Sigma["r"] = LabelTarget("r")
-	ty.Sigma["a1"] = LabelTarget("a")
-	ty.Sigma["a2"] = LabelTarget("a")
-	ty.Sigma["b"] = LabelTarget("b")
-	ty.Mu["r"] = Disj{SAtom{{Sym: "a1", Mult: dtd.Star}, {Sym: "a2", Mult: dtd.Star}}}
-	ty.Cond["a1"] = cond.LtInt(100)
-	ty.Cond["a2"] = cond.GeInt(100)
-	ty.Mu["a2"] = Disj{SAtom{{Sym: "b", Mult: dtd.One}}}
-	cheapLeaf := tree.Tree{Root: tree.New("r", rat.Zero, tree.New("a", v(50)))}
-	if !ty.Member(cheapLeaf) {
-		t.Error("cheap leaf a rejected")
-	}
-	cheapWithChild := tree.Tree{Root: tree.New("r", rat.Zero,
-		tree.New("a", v(50), tree.New("b", rat.Zero)))}
-	if ty.Member(cheapWithChild) {
-		t.Error("cheap a with child accepted")
-	}
-	richWithChild := tree.Tree{Root: tree.New("r", rat.Zero,
-		tree.New("a", v(150), tree.New("b", rat.Zero)))}
-	if !ty.Member(richWithChild) {
-		t.Error("expensive a with b rejected")
-	}
-	richLeaf := tree.Tree{Root: tree.New("r", rat.Zero, tree.New("a", v(150)))}
-	if ty.Member(richLeaf) {
-		t.Error("expensive leaf a accepted")
-	}
-}
-
-func TestMemberNodeTarget(t *testing.T) {
-	ty := New()
-	ty.Roots = []Symbol{"rsym"}
-	ty.Sigma["rsym"] = NodeTarget("n1")
-	ty.Mu["rsym"] = Disj{SAtom{}}
-	pinned := tree.Tree{Root: tree.NewID("n1", "root", rat.Zero)}
-	if !ty.Member(pinned) {
-		t.Error("pinned node rejected")
-	}
-	other := tree.Tree{Root: tree.NewID("n2", "root", rat.Zero)}
-	if ty.Member(other) {
-		t.Error("wrong node id accepted")
-	}
-}
-
-func TestWitnessTree(t *testing.T) {
-	ty := simpleType()
-	w, ok := ty.WitnessTree()
-	if !ok {
-		t.Fatal("nonempty type has no witness")
-	}
-	if !ty.Member(w) {
-		t.Errorf("witness not a member:\n%s", w)
-	}
-	dead := New()
-	dead.Roots = []Symbol{"r"}
-	dead.Sigma["r"] = LabelTarget("r")
-	dead.Cond["r"] = cond.False()
-	if _, ok := dead.WitnessTree(); ok {
-		t.Error("empty type produced a witness")
+	// The disjunct c? is not dropped: it becomes the empty atom, which
+	// still admits a leaf root.
+	if got := trimmed.DisjFor("r").String(); got != "a* b+ v eps" {
+		t.Errorf("trimmed r -> %s, want a* b+ v eps", got)
 	}
 }
 
@@ -282,11 +160,12 @@ func TestRename(t *testing.T) {
 	if rn.Roots[0] != "x_r" {
 		t.Errorf("root = %v", rn.Roots)
 	}
-	// Semantics unchanged.
-	sample := tree.Tree{Root: tree.New("r", rat.Zero,
-		tree.New("a", v(3)), tree.New("b", rat.Zero))}
-	if ty.Member(sample) != rn.Member(sample) {
-		t.Error("rename changed semantics")
+	// Structure unchanged up to the renaming.
+	if got := rn.DisjFor("x_r").String(); got != "x_a* x_b+ v x_c?" {
+		t.Errorf("x_r -> %s", got)
+	}
+	if !rn.CondFor("x_a").Equal(ty.CondFor("a")) || rn.TargetFor("x_a") != ty.TargetFor("a") {
+		t.Error("rename changed the condition or target of a")
 	}
 }
 
@@ -297,18 +176,5 @@ func TestStringRendering(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String missing %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestFixedValue(t *testing.T) {
-	ty := New()
-	ty.Sigma["n"] = LabelTarget("a")
-	ty.Cond["n"] = cond.EqInt(7)
-	if val, ok := ty.FixedValue("n"); !ok || !val.Equal(v(7)) {
-		t.Errorf("FixedValue = %v %v", val, ok)
-	}
-	ty.Cond["m"] = cond.LeInt(7)
-	if _, ok := ty.FixedValue("m"); ok {
-		t.Error("range condition reported as fixed value")
 	}
 }

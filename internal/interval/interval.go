@@ -10,6 +10,7 @@
 package interval
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 
@@ -357,6 +358,33 @@ func boundEqual(a, b Bound) bool {
 		return true
 	}
 	return a.Closed == b.Closed && a.Value.Equal(b.Value)
+}
+
+// AppendKey appends a byte key of the normal form to dst: two sets have the
+// same key iff they are Equal. Callers that partition by condition use it as
+// a map key without rendering the set.
+func (s Set) AppendKey(dst []byte) []byte {
+	for _, iv := range s.ivs {
+		dst = iv.Lo.appendKey(dst)
+		dst = iv.Hi.appendKey(dst)
+	}
+	return dst
+}
+
+// appendKey encodes an infinite bound as one byte (0 or 2) and a finite one
+// as 1, the closed flag and the value's canonical numerator and denominator.
+func (b Bound) appendKey(dst []byte) []byte {
+	if b.Inf != 0 {
+		return append(dst, byte(b.Inf+1))
+	}
+	closed := byte(0)
+	if b.Closed {
+		closed = 1
+	}
+	k := b.Value.Key()
+	dst = append(dst, 1, closed)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(k[0]))
+	return binary.LittleEndian.AppendUint64(dst, uint64(k[1]))
 }
 
 // Subset reports whether s ⊆ t.

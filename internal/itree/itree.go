@@ -132,12 +132,10 @@ func (it *T) TrimUseless() *T {
 	if it.memo != nil {
 		return it
 	}
-	eff := it.EffectiveType()
-	useful := eff.Useful()
 	out := New()
 	// Remove useless symbols using the generic trimmer over a type whose
 	// conditions are effective, then restore the original conditions.
-	tmp := eff.TrimUseless()
+	tmp := it.EffectiveType().TrimUseless()
 	for s := range tmp.Sigma {
 		if c, ok := it.Type.Cond[s]; ok {
 			tmp.Cond[s] = c
@@ -148,11 +146,8 @@ func (it *T) TrimUseless() *T {
 	out.Type = tmp
 	out.MayBeEmpty = it.MayBeEmpty
 	referenced := map[tree.NodeID]bool{}
-	for s := range tmp.Sigma {
-		if !useful[s] {
-			continue
-		}
-		if tg := tmp.TargetFor(s); tg.IsNode() {
+	for _, tg := range tmp.Sigma {
+		if tg.IsNode() {
 			referenced[tg.Node] = true
 		}
 	}

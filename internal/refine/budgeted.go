@@ -77,9 +77,7 @@ func (r *Refiner) ObserveBudgeted(q query.Query, a tree.Tree, bud *budget.B, shr
 		}
 		degradedNow = true
 	}
-	if r.CompactEach {
-		next = Compact(next)
-	}
+	next = Compact(next)
 	if degradedNow && next.Size() > shrinkTo {
 		next = heuristics.LossyShrink(next, shrinkTo)
 	}

@@ -149,15 +149,7 @@ func TestQuickIntersectSound(t *testing.T) {
 // the same content, and verdicts stored on it do not follow it into the
 // Clone.
 func TestCompactIdempotent(t *testing.T) {
-	world := workload.BlowupWorld()
-	r := NewRefiner(workload.BlowupSigma, nil)
-	r.CompactEach = false
-	for _, q := range workload.BlowupWorkload(3) {
-		if _, err := r.ObserveOn(world, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	once := Compact(r.Tree())
+	once := Compact(rawBlowupChain(t, 3))
 	twice := Compact(once)
 	if twice.Size() != once.Size() {
 		t.Errorf("Compact not idempotent in size: %d -> %d", once.Size(), twice.Size())
@@ -214,25 +206,37 @@ func TestCompactIdempotent(t *testing.T) {
 	}
 }
 
+// rawBlowupChain folds the first n blowup queries with Refine, which never
+// compacts.
+func rawBlowupChain(t *testing.T, n int) *itree.T {
+	t.Helper()
+	world := workload.BlowupWorld()
+	cur := Universal(workload.BlowupSigma)
+	for _, q := range workload.BlowupWorkload(n) {
+		next, err := Refine(cur, q, q.Eval(world), workload.BlowupSigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = next
+	}
+	return cur
+}
+
 // TestCompactEachAblation: with and without per-step compaction the chain
 // represents the same set; compaction only changes the size.
 func TestCompactEachAblation(t *testing.T) {
 	world := workload.BlowupWorld()
 	with := NewRefiner(workload.BlowupSigma, nil)
-	without := NewRefiner(workload.BlowupSigma, nil)
-	without.CompactEach = false
 	for _, q := range workload.BlowupWorkload(3) {
 		if _, err := with.ObserveOn(world, q); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := without.ObserveOn(world, q); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if with.Tree().Size() > without.Tree().Size() {
-		t.Errorf("compaction grew the tree: %d vs %d", with.Tree().Size(), without.Tree().Size())
+	without := rawBlowupChain(t, 3)
+	if with.Tree().Size() > without.Size() {
+		t.Errorf("compaction grew the tree: %d vs %d", with.Tree().Size(), without.Size())
 	}
-	if eq, diff := itree.EqualRepSets(with.Tree(), without.Tree(), itree.DefaultBounds()); !eq {
+	if eq, diff := itree.EqualRepSets(with.Tree(), without, itree.DefaultBounds()); !eq {
 		t.Errorf("compaction changed rep: %s", diff)
 	}
 }

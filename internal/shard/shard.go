@@ -114,10 +114,9 @@ type Config struct {
 	Shards int
 	// Replicas is the virtual-node count per shard (DefaultReplicas if <= 0).
 	Replicas int
-	// Budget and ShrinkTo configure every group's webhouse (see
-	// webhouse.SetBudget / SetShrinkTo); zero keeps the defaults.
-	Budget   int64
-	ShrinkTo int
+	// Budget configures every group's webhouse (see webhouse.SetBudget);
+	// zero keeps the default.
+	Budget int64
 	// Injector and Retry are templates for the per-source fault-injection
 	// and retry/breaker layers; each registration derives its own seeds from
 	// the template seed and a per-cluster registration sequence so fault
@@ -240,9 +239,6 @@ func New(cfg Config) *Cluster {
 		wh := webhouse.New()
 		if cfg.Budget > 0 {
 			wh.SetBudget(cfg.Budget)
-		}
-		if cfg.ShrinkTo > 0 {
-			wh.SetShrinkTo(cfg.ShrinkTo)
 		}
 		c.groups = append(c.groups, &Group{
 			id:        i,

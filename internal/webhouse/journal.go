@@ -130,10 +130,10 @@ func (wh *Webhouse) ReplayObserve(source string, q query.Query, a tree.Tree) err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, err = r.refiner.ObserveBudgeted(q, a, nil, wh.shrinkCap())
+	err = r.refiner.Observe(q, a)
 	if errors.Is(err, refine.ErrInconsistent) {
 		r.refiner = refine.NewRefiner(r.Source.Type.Alphabet(), r.Source.Type)
-		_, err = r.refiner.ObserveBudgeted(q, a, nil, wh.shrinkCap())
+		err = r.refiner.Observe(q, a)
 	}
 	if err != nil {
 		return err

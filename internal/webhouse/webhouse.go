@@ -193,10 +193,8 @@ type Webhouse struct {
 	degraded    atomic.Uint64
 
 	// budgetSteps is the per-request step allowance for the solver budgets
-	// (0 = step-unlimited; the context deadline still applies). shrinkTo is
-	// the lossy-fallback size cap (0 = refine.DefaultShrinkTo).
+	// (0 = step-unlimited; the context deadline still applies).
 	budgetSteps       atomic.Int64
-	shrinkTo          atomic.Int64
 	budgetExhaustions atomic.Uint64
 	lossyFallbacks    atomic.Uint64
 }
@@ -215,17 +213,6 @@ func (wh *Webhouse) SetBudget(steps int64) { wh.budgetSteps.Store(steps) }
 
 // BudgetSteps reports the configured per-request step allowance.
 func (wh *Webhouse) BudgetSteps() int64 { return wh.budgetSteps.Load() }
-
-// SetShrinkTo sets the representation-size cap the lossy fallback shrinks
-// knowledge to; 0 restores refine.DefaultShrinkTo.
-func (wh *Webhouse) SetShrinkTo(n int) { wh.shrinkTo.Store(int64(n)) }
-
-func (wh *Webhouse) shrinkCap() int {
-	if n := wh.shrinkTo.Load(); n > 0 {
-		return int(n)
-	}
-	return refine.DefaultShrinkTo
-}
 
 // newBudget builds the cooperative budget for one request. It returns nil
 // (unlimited) when no step allowance is configured and the context carries
@@ -367,10 +354,10 @@ func (wh *Webhouse) Stats() Stats {
 // acquisition never fails on budget grounds — it merely coarsens. The
 // caller must hold r.mu for writing.
 func (wh *Webhouse) observeLocked(ctx context.Context, r *Repository, q query.Query, a tree.Tree) error {
-	lossy, err := r.refiner.ObserveBudgeted(q, a, wh.newBudget(ctx), wh.shrinkCap())
+	lossy, err := r.refiner.ObserveBudgeted(q, a, wh.newBudget(ctx), refine.DefaultShrinkTo)
 	if errors.Is(err, refine.ErrInconsistent) {
 		r.refiner = refine.NewRefiner(r.Source.Type.Alphabet(), r.Source.Type)
-		lossy, err = r.refiner.ObserveBudgeted(q, a, wh.newBudget(ctx), wh.shrinkCap())
+		lossy, err = r.refiner.ObserveBudgeted(q, a, wh.newBudget(ctx), refine.DefaultShrinkTo)
 	}
 	if lossy {
 		wh.lossyFallbacks.Add(1)
@@ -632,7 +619,7 @@ func certifySteps(configured int64) int64 {
 // and q(S) over-approximates the possible answers. Facets the fallback
 // cannot decide soundly stay Unknown.
 func (wh *Webhouse) fallbackLocal(know *itree.T, q query.Query, out *LocalAnswer) {
-	shrunk := heuristics.LossyShrink(know, wh.shrinkCap())
+	shrunk := heuristics.LossyShrink(know, refine.DefaultShrinkTo)
 	fb, err := answer.Facets(shrunk, q, budget.New(context.Background(), fallbackSteps))
 	used := false
 	if out.FullyV == budget.Unknown && fb.Fully == budget.Yes {

@@ -70,8 +70,9 @@ go test ./internal/serve/ -run TestE25TrafficSmoke -short -count=1
 
 # Fuzz smoke: a couple of seconds per serving-path parser and per
 # durability decoder (the snapshot and WAL codecs parse attacker-grade
-# bytes after a crash). This is a regression sweep over the corpora plus a
-# short random exploration, not a full campaign.
+# bytes after a crash), plus Refine's compaction over decoded incomplete
+# trees (no panic, rep kept). This is a regression sweep over the corpora
+# plus a short random exploration, not a full campaign.
 FUZZTIME="${FUZZTIME:-2s}"
 go test ./internal/query/ -fuzz FuzzParse             -fuzztime "$FUZZTIME"
 go test ./internal/cond/  -fuzz FuzzParse             -fuzztime "$FUZZTIME"
@@ -82,3 +83,4 @@ go test ./internal/xmlio/ -fuzz FuzzUnmarshal         -fuzztime "$FUZZTIME"
 go test ./internal/store/ -fuzz FuzzSnapshotRoundTrip -fuzztime "$FUZZTIME"
 go test ./internal/store/ -fuzz FuzzWALDecode         -fuzztime "$FUZZTIME"
 go test ./internal/store/ -fuzz FuzzManifestDecode    -fuzztime "$FUZZTIME"
+go test ./internal/refine/ -fuzz FuzzCompact          -fuzztime "$FUZZTIME"
