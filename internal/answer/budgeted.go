@@ -50,18 +50,18 @@ func ofAnswer(it *itree.T, q query.Query, bud *budget.B, rule func(*itree.T) boo
 
 // FullyAnswerableBudgeted is FullyAnswerable under a budget (nil = exact).
 func FullyAnswerableBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
-	return triDecision(it, q, kindFully, ofAnswer(it, q, bud, fullyOf))
+	return triDecision(it, q, itree.MemoFully, ofAnswer(it, q, bud, fullyOf))
 }
 
 // PossiblyNonEmptyBudgeted is PossiblyNonEmpty under a budget (nil = exact).
 func PossiblyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
-	return triDecision(it, q, kindPossiblyNonEmpty, ofAnswer(it, q, bud, possiblyOf))
+	return triDecision(it, q, itree.MemoPossiblyNonEmpty, ofAnswer(it, q, bud, possiblyOf))
 }
 
 // CertainlyNonEmptyBudgeted is CertainlyNonEmpty under a budget (nil =
 // exact).
 func CertainlyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
-	return triDecision(it, q, kindCertainlyNonEmpty, ofAnswer(it, q, bud, certainlyOf))
+	return triDecision(it, q, itree.MemoCertainlyNonEmpty, ofAnswer(it, q, bud, certainlyOf))
 }
 
 // possiblyOf decides PossiblyNonEmpty from q(T): some answer is nonempty.
@@ -95,7 +95,7 @@ type Local struct {
 // Unknown.
 func Facets(it *itree.T, q query.Query, bud *budget.B) (Local, error) {
 	key := q.String()
-	kinds := [3]uint8{kindFully, kindCertainlyNonEmpty, kindPossiblyNonEmpty}
+	kinds := [3]uint8{itree.MemoFully, itree.MemoCertainlyNonEmpty, itree.MemoPossiblyNonEmpty}
 	rules := [3]func(*itree.T) bool{fullyOf, certainlyOf, possiblyOf}
 	var tri [3]budget.Tri
 	var cached [3]bool

@@ -30,16 +30,11 @@ func DecisionStats() CacheStats {
 	return CacheStats{Hits: decisionHits.Load(), Misses: decisionMisses.Load()}
 }
 
-const (
-	kindFully uint8 = iota
-	kindCertainlyNonEmpty
-	kindPossiblyNonEmpty
-)
-
-// recall returns the verdict of kind stored on it under the canonical query
-// key, counting the lookup.
+// recall returns the verdict of kind (one of the itree.Memo verdict kinds)
+// stored on it under the canonical query key, counting the lookup.
 func recall(it *itree.T, kind uint8, key string) (v, ok bool) {
-	v, ok = it.Recall(kind, key)
+	m, ok := it.Recall(kind, key)
+	v, _ = m.(bool)
 	if ok {
 		decisionHits.Add(1)
 	} else {

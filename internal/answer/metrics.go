@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"incxml/internal/budget"
+	"incxml/internal/itree"
 	"incxml/internal/obs"
 )
 
@@ -36,9 +37,9 @@ func init() {
 // procName renders a decision kind for the proc metric label.
 func procName(kind uint8) string {
 	switch kind {
-	case kindFully:
+	case itree.MemoFully:
 		return "fully"
-	case kindCertainlyNonEmpty:
+	case itree.MemoCertainlyNonEmpty:
 		return "certainly_nonempty"
 	default:
 		return "possibly_nonempty"

@@ -3,6 +3,7 @@ package refine
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"incxml/internal/itree"
@@ -188,12 +189,12 @@ func TestCompactIdempotent(t *testing.T) {
 		}
 		// A verdict stored on the snapshot stays with it: its Clone, which
 		// may be mutated, starts without a memo.
-		c.Remember(0, "probe", true)
-		if v, ok := c.Recall(0, "probe"); !ok || !v {
+		c.Remember(itree.MemoFully, "probe", true)
+		if v, ok := c.Recall(itree.MemoFully, "probe"); !ok || v != true {
 			t.Errorf("%s: Compact result did not keep a stored verdict", name)
 		}
 		clone := c.Clone()
-		if _, ok := clone.Recall(0, "probe"); ok {
+		if _, ok := clone.Recall(itree.MemoFully, "probe"); ok {
 			t.Errorf("%s: Clone carried the snapshot's verdicts", name)
 		}
 		trimmed := clone.TrimUseless()
@@ -318,5 +319,40 @@ func TestLinearChainStaysPolynomial(t *testing.T) {
 	limit := base + 40*n*n
 	if size > limit {
 		t.Errorf("linear chain size %d exceeds polynomial bound %d", size, limit)
+	}
+}
+
+// TestReachableConcurrentFirstReaders checks that concurrent first readers
+// of Reachable all get the same snapshot, round after round: what is
+// memoized on a snapshot (itree.T.Remember) is shared only if the pointer
+// is.
+func TestReachableConcurrentFirstReaders(t *testing.T) {
+	const readers, rounds = 8, 50
+	for round := 0; round < rounds; round++ {
+		r := NewRefiner(workload.CatalogSigma, workload.CatalogType())
+		if _, err := r.ObserveOn(workload.PaperCatalog(), workload.Query1(200)); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*itree.T, readers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[i] = r.Reachable()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, g := range got {
+			if g != got[0] {
+				t.Fatalf("round %d: reader %d got a different snapshot from reader 0", round, i)
+			}
+		}
+		if r.Reachable() != got[0] {
+			t.Fatalf("round %d: a later reader got a different snapshot", round)
+		}
 	}
 }

@@ -93,8 +93,10 @@ func (r *Refiner) Tree() *itree.T { return r.cur }
 // The tree is computed once per refiner state and memoized until the next
 // observation, so every caller between two observations gets the same
 // shared tree: treat it as read-only (mutate a Clone). Concurrent readers
-// are safe while no observation runs; two first readers may both compute
-// the tree, and either result is the same value.
+// are safe while no observation runs. Two first readers may both compute
+// the tree, but only the first one stored is ever returned: the values
+// memoized on the snapshot (itree.T.Remember) would be split over two
+// pointers otherwise.
 func (r *Refiner) Reachable() *itree.T {
 	if r.source == nil {
 		return r.cur
@@ -103,7 +105,9 @@ func (r *Refiner) Reachable() *itree.T {
 		return t
 	}
 	t := Compact(WithTreeType(r.cur, r.source))
-	r.reach.Store(t)
+	if !r.reach.CompareAndSwap(nil, t) {
+		return r.reach.Load()
+	}
 	return t
 }
 

@@ -90,11 +90,13 @@ func TestMetricsFamiliesSpanTheStack(t *testing.T) {
 			t.Errorf("family %s missing from scrape:\n%s", name, text)
 		}
 	}
-	// Decisions are memoized on the knowledge snapshot, so no
-	// process-global table with entries or evictions is left to export.
+	// Decisions and answers are memoized on the knowledge snapshot, so no
+	// process-global table with entries or evictions, and no answer-cache
+	// generation, is left to export.
 	for name := range fams {
 		if strings.HasPrefix(name, "incxml_intern_") ||
-			name == "incxml_cache_entries" || name == "incxml_cache_evictions_total" {
+			name == "incxml_cache_entries" || name == "incxml_cache_evictions_total" ||
+			name == "incxml_webhouse_cache_generation" {
 			t.Errorf("retired family %s is exported", name)
 		}
 	}

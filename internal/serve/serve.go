@@ -252,7 +252,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	// Expose the cluster after the fleet is registered so the per-source
-	// gauge children (cache generation, breaker state) exist.
+	// gauge children (breaker state) exist.
 	cluster.ExposeMetrics(reg)
 	// Durability last: recovery replays into the registered fleet, and the
 	// journal must only see post-recovery mutations.

@@ -11,17 +11,17 @@ import (
 // exact names webhouse.ExposeMetrics uses — aggregated across shards, so
 // dashboards built against a single webhouse carry over unchanged — and a
 // set of `incxml_shard_*` families breaks the same signals down per shard.
-// Per-source children (cache generation, breaker state) come straight from
-// each shard's webhouse; source sets are disjoint, so the labeled children
-// never collide. Expose after registering the fleet.
+// Per-source children (breaker state) come straight from each shard's
+// webhouse; source sets are disjoint, so the labeled children never
+// collide. Expose after registering the fleet.
 func (c *Cluster) ExposeMetrics(reg *obs.Registry) {
 	// Cluster-wide totals: same family names and help as the single-
 	// webhouse exposition, summed over shards at scrape time.
 	reg.CounterFunc("incxml_webhouse_answer_cache_hits_total",
-		"Local/extended answers served from the per-source answer caches.",
+		"Local/extended answers served from the answers memoized on the knowledge snapshots.",
 		func() uint64 { return c.Stats().AnswerCacheHits })
 	reg.CounterFunc("incxml_webhouse_answer_cache_misses_total",
-		"Local/extended answer lookups that missed the per-source caches.",
+		"Local/extended answer lookups that found no answer memoized on the knowledge snapshot.",
 		func() uint64 { return c.Stats().AnswerCacheMisses })
 	reg.CounterFunc("incxml_webhouse_degraded_answers_total",
 		"AnswerComplete calls that fell back to the approximate local answer (source unavailable).",

@@ -361,8 +361,8 @@ func TestScatterLocalNeverContactsSources(t *testing.T) {
 	}
 }
 
-// TestScatterSharesKnowledgeSnapshot runs concurrent local scatters over
-// one generation (run it under -race): every scatter answers and merges its
+// TestScatterSharesKnowledgeSnapshot runs concurrent local scatters between
+// two folds (run it under -race): every scatter answers and merges its
 // certificate over each source's memoized knowledge snapshot, which must
 // stay the same tree with unchanged content.
 func TestScatterSharesKnowledgeSnapshot(t *testing.T) {
@@ -406,7 +406,7 @@ func TestScatterSharesKnowledgeSnapshot(t *testing.T) {
 	}
 	for name, know := range snaps {
 		if got, err := c.Knowledge(name); err != nil || got != know {
-			t.Errorf("%s: Knowledge changed within one generation (%v)", name, err)
+			t.Errorf("%s: Knowledge changed without a fold (%v)", name, err)
 		}
 		if know.String() != contents[name] || know.MayBeEmpty != mayBeEmpty[name] {
 			t.Errorf("%s: a scatter mutated the shared knowledge snapshot", name)

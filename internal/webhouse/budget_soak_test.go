@@ -138,7 +138,7 @@ func TestBudgetedAnswersSoundUnderConcurrentLoad(t *testing.T) {
 	// itself exhausted the 200-step budget depends on how the goroutines
 	// split the cold decision computations across the shared snapshot
 	// memo, so force one deterministic exhaustion on a fresh fixture, whose
-	// memo and answer caches are empty: BlowupQuery(5) is unrefuted (its
+	// snapshot memo is empty: BlowupQuery(5) is unrefuted (its
 	// possible-answer construction materializes ~65 answer symbols, and q(T)
 	// construction is never memoized), so with a 1-step budget it cannot
 	// complete.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"incxml/internal/budget"
@@ -65,21 +66,16 @@ func TestAnswerCacheHitAndEviction(t *testing.T) {
 		}
 	}
 
-	// A full answer cache stops storing: it still serves correct answers,
-	// computed on every call, and its length stays at the bound.
+	// A full snapshot memo stops storing: it still serves correct answers,
+	// computed on every call.
+	if _, err := wh.Explore(context.Background(), "catalog", workload.Query1(200)); err != nil {
+		t.Fatal(err)
+	}
 	want, err := wh.AnswerLocally(context.Background(), "catalog", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := wh.Repo("catalog")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.invalidate()
-	gen := r.gen.Load()
-	for i := 0; len(r.answers) < itree.MemoLimit; i++ {
-		r.storeLocal(gen, fmt.Sprintf("filler%d", i), &LocalAnswer{})
-	}
+	know := fullMemoSnapshot(t, wh)
 	for i := 0; i < 2; i++ {
 		before := wh.Stats()
 		la, err := wh.AnswerLocally(context.Background(), "catalog", q)
@@ -94,9 +90,28 @@ func TestAnswerCacheHitAndEviction(t *testing.T) {
 			t.Errorf("full cache: call %d answered %+v, want %+v", i, la, want)
 		}
 	}
-	if n := len(r.answers); n != itree.MemoLimit {
-		t.Errorf("full cache grew to %d entries, bound %d", n, itree.MemoLimit)
+	if _, ok := know.Recall(itree.MemoLocal, q.String()); ok {
+		t.Error("full memo stored the answer past itree.MemoLimit")
 	}
+}
+
+// fullMemoSnapshot refolds Query1(200), which the caller has just folded
+// in: the repository gets a new knowledge snapshot representing the same
+// documents. It fills that snapshot's memo to itree.MemoLimit with filler
+// entries.
+func fullMemoSnapshot(t *testing.T, wh *Webhouse) *itree.T {
+	t.Helper()
+	if _, err := wh.Explore(context.Background(), "catalog", workload.Query1(200)); err != nil {
+		t.Fatal(err)
+	}
+	know, err := wh.Knowledge("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < itree.MemoLimit; i++ {
+		know.Remember(itree.MemoLocal, fmt.Sprintf("filler%d", i), &LocalAnswer{})
+	}
+	return know
 }
 
 func TestAnswerExtendedCached(t *testing.T) {
@@ -130,16 +145,15 @@ func TestAnswerExtendedCached(t *testing.T) {
 		t.Error("Invalidate did not evict the extended-answer cache")
 	}
 
-	// A full extended-answer cache keeps answering, uncached, at its bound.
-	r, err := wh.Repo("catalog")
+	// A full snapshot memo keeps answering, without storing.
+	if _, err := wh.Explore(context.Background(), "catalog", workload.Query1(200)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := wh.AnswerExtended(context.Background(), "catalog", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.invalidate()
-	gen := r.gen.Load()
-	for i := 0; len(r.ext) < itree.MemoLimit; i++ {
-		r.storeExt(gen, fmt.Sprintf("filler%d", i), &ExtendedAnswer{})
-	}
+	know := fullMemoSnapshot(t, wh)
 	for i := 0; i < 2; i++ {
 		before := wh.Stats()
 		a3, err := wh.AnswerExtended(context.Background(), "catalog", q)
@@ -149,12 +163,12 @@ func TestAnswerExtendedCached(t *testing.T) {
 		if wh.Stats().AnswerCacheMisses != before.AnswerCacheMisses+1 {
 			t.Errorf("full cache: call %d was not computed", i)
 		}
-		if !a3.Known.Equal(a2.Known) || a3.ExactV != a2.ExactV {
-			t.Errorf("full cache: call %d answered %+v, want %+v", i, a3, a2)
+		if !a3.Known.Equal(want.Known) || a3.ExactV != want.ExactV {
+			t.Errorf("full cache: call %d answered %+v, want %+v", i, a3, want)
 		}
 	}
-	if n := len(r.ext); n != itree.MemoLimit {
-		t.Errorf("full extended cache grew to %d entries, bound %d", n, itree.MemoLimit)
+	if _, ok := know.Recall(itree.MemoExtended, extKey(q)); ok {
+		t.Error("full memo stored the answer past itree.MemoLimit")
 	}
 }
 
@@ -244,7 +258,7 @@ func TestConcurrentServing(t *testing.T) {
 }
 
 // hammerSharedSnapshot pins the immutability of the memoized knowledge
-// snapshot. Over one generation, concurrent local, complete and extended
+// snapshot. Between two folds, concurrent local, complete and extended
 // answers plus the shard scatter's per-source work (a local answer and a
 // certify.Merge over the Knowledge snapshot; shard imports this package, so
 // shard's TestScatterSharesKnowledgeSnapshot hammers the scatter itself)
@@ -258,7 +272,6 @@ func hammerSharedSnapshot(t *testing.T, wh *Webhouse) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := r.gen.Load()
 	know, err := wh.Knowledge("catalog")
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +284,7 @@ func hammerSharedSnapshot(t *testing.T, wh *Webhouse) {
 			return err
 		}
 		if got != know {
-			return fmt.Errorf("Knowledge returned a new tree within one generation")
+			return fmt.Errorf("Knowledge returned a new tree without a fold")
 		}
 		return nil
 	}
@@ -328,11 +341,8 @@ func hammerSharedSnapshot(t *testing.T, wh *Webhouse) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if r.gen.Load() != gen {
-		t.Fatal("a read changed the generation; the hammer must stay on one snapshot")
-	}
 	if err := sameSnapshot(); err != nil {
-		t.Error(err)
+		t.Fatal(err)
 	}
 	if know.String() != content || know.MayBeEmpty != mayBeEmpty {
 		t.Error("the shared knowledge snapshot was mutated by a reader")
@@ -351,8 +361,132 @@ func hammerSharedSnapshot(t *testing.T, wh *Webhouse) {
 	if know.String() != content || know.MayBeEmpty != mayBeEmpty {
 		t.Error("Explore mutated the previous snapshot")
 	}
-	fresh := refine.Compact(refine.WithTreeType(r.Refiner().Tree(), r.Source.Type))
+	fresh := refine.Compact(refine.WithTreeType(r.refiner.Tree(), r.Source.Type))
 	if next.String() != fresh.String() || next.MayBeEmpty != fresh.MayBeEmpty {
 		t.Error("the snapshot after Explore differs from a freshly computed reachable tree")
 	}
+}
+
+// Answers memoized on a knowledge snapshot belong to it. Readers hammer
+// AnswerLocally and AnswerExtended while a writer alternates Explore and
+// Invalidate. Whenever Knowledge returns the same snapshot before and after
+// a read, the answer read must equal one computed afresh on that snapshot:
+// an answer computed on one snapshot but stored on, or served from, another
+// fails this. The writer moves between two knowledge states, bare and
+// explored, which answer both queries differently; the fresh answers of
+// each are computed once, on an unmarked Clone, before the hammer starts.
+func TestMemoizedAnswersMatchTheirSnapshot(t *testing.T) {
+	wh, _ := newCatalogWebhouse(t)
+	ctx := context.Background()
+	lq := workload.Query3(100)
+	eq := extquery.Query{Root: extquery.N("catalog", cond.True(),
+		extquery.N("product", cond.True()))}
+	type fresh struct {
+		local *LocalAnswer
+		ext   *ExtendedAnswer
+	}
+	var want [2]fresh // by explored
+	for i := range want {
+		if i == 1 {
+			if _, err := wh.Explore(ctx, "catalog", workload.Query1(200)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		know, err := wh.Knowledge("catalog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i].local, err = wh.computeLocal(ctx, know.Clone(), lq); err != nil {
+			t.Fatal(err)
+		}
+		if want[i].ext, err = wh.computeExtended(ctx, know.Clone(), eq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0].local.FullyV == want[1].local.FullyV || want[0].ext.Known.Equal(want[1].ext.Known) {
+		t.Fatal("the two knowledge states answer alike: the test would see no stale answer")
+	}
+
+	var checked atomic.Int64
+	read := func() error {
+		before, err := wh.Knowledge("catalog")
+		if err != nil {
+			return err
+		}
+		la, err := wh.AnswerLocally(ctx, "catalog", lq)
+		if err != nil {
+			return err
+		}
+		ea, err := wh.AnswerExtended(ctx, "catalog", eq)
+		if err != nil {
+			return err
+		}
+		if after, err := wh.Knowledge("catalog"); err != nil || after != before {
+			return err // a nil error: the snapshot moved, so this read is not checked
+		}
+		w := want[0]
+		if before.DataTree().Root != nil {
+			w = want[1]
+		}
+		if !la.Exact.Equal(w.local.Exact) || la.FullyV != w.local.FullyV ||
+			la.CertainlyNonEmptyV != w.local.CertainlyNonEmptyV || la.PossiblyNonEmptyV != w.local.PossiblyNonEmptyV {
+			return fmt.Errorf("local answer %+v, fresh on its snapshot %+v", la, w.local)
+		}
+		if !ea.Known.Equal(w.ext.Known) || ea.ExactV != w.ext.ExactV {
+			return fmt.Errorf("extended answer %+v, fresh on its snapshot %+v", ea, w.ext)
+		}
+		checked.Add(1)
+		return nil
+	}
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var err error
+			if i%2 == 0 {
+				err = wh.Invalidate("catalog")
+			} else {
+				_, err = wh.Explore(ctx, "catalog", workload.Query1(200))
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	const readers, rounds = 4, 400
+	var wg sync.WaitGroup
+	errc := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := read(); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	writer.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	// Quiescent, every read checks: at least one comparison always runs.
+	if err := read(); err != nil {
+		t.Error(err)
+	}
+	t.Logf("%d reads compared against their snapshot", checked.Load())
 }

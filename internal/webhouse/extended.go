@@ -63,11 +63,11 @@ type ExtendedAnswer struct {
 	Certificate *certify.Certificate
 	// BudgetExhausted reports that the step budget ran out mid-evaluation:
 	// Known may be empty and ExactV is Unknown. Such answers are degraded,
-	// never cached, and never claimed exact.
+	// never memoized, and never claimed exact.
 	BudgetExhausted bool
 }
 
-// extKey renders an extended query to a canonical cache-key string. Unlike
+// extKey renders an extended query to a canonical memo-key string. Unlike
 // ps-queries, extended queries have no parseable String form; this encoding
 // is deterministic in the query value (children in pattern order) and
 // injective over the features that affect the answer.
@@ -110,21 +110,12 @@ func extKey(q extquery.Query) string {
 	return b.String()
 }
 
-// storeExt is storeLocal's counterpart for extended answers.
-func (r *Repository) storeExt(gen uint64, key string, ea *ExtendedAnswer) {
-	r.cacheMu.Lock()
-	if r.gen.Load() == gen && len(r.ext) < itree.MemoLimit {
-		r.ext[key] = ea
-	}
-	r.cacheMu.Unlock()
-}
-
 // AnswerExtended evaluates an extended query against the repository's data
 // tree under the webhouse's cooperative budget and reports a three-valued
-// exactness verdict. Results are cached per source until the knowledge
-// changes; budget-degraded answers are never cached. Deadline exhaustion
-// surfaces as an error (the serving layer maps it to a timeout); step
-// exhaustion degrades soundly to an Unknown-verdict answer.
+// exactness verdict. Results are memoized on the knowledge snapshot they
+// were computed from; budget-degraded answers are never memoized. Deadline
+// exhaustion surfaces as an error (the serving layer maps it to a timeout);
+// step exhaustion degrades soundly to an Unknown-verdict answer.
 func (wh *Webhouse) AnswerExtended(ctx context.Context, source string, q extquery.Query) (*ExtendedAnswer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -134,18 +125,25 @@ func (wh *Webhouse) AnswerExtended(ctx context.Context, source string, q extquer
 		return nil, err
 	}
 	key := extKey(q)
-	r.cacheMu.Lock()
-	ea, ok := r.ext[key]
-	r.cacheMu.Unlock()
-	if ok {
-		wh.cacheHits.Add(1)
-		cp := *ea
+	know := r.snapshot()
+	if v, ok := wh.recall(know, itree.MemoExtended, key); ok {
+		cp := *v.(*ExtendedAnswer)
 		return &cp, nil
 	}
-	wh.cacheMisses.Add(1)
-	gen, know := r.snapshot()
-	td := know.DataTree()
+	out, err := wh.computeExtended(ctx, know, q)
+	if err != nil {
+		return nil, err
+	}
+	if !out.BudgetExhausted {
+		know.Remember(itree.MemoExtended, key, out)
+	}
+	cp := *out
+	return &cp, nil
+}
 
+// computeExtended answers q on know under the webhouse's per-request budget
+// (AnswerExtended without the memo).
+func (wh *Webhouse) computeExtended(ctx context.Context, know *itree.T, q extquery.Query) (*ExtendedAnswer, error) {
 	bud := wh.newBudget(ctx)
 	endStage := obs.FromContext(ctx).Stage("extended")
 	defer func() {
@@ -155,7 +153,8 @@ func (wh *Webhouse) AnswerExtended(ctx context.Context, source string, q extquer
 	}()
 
 	out := &ExtendedAnswer{Class: q.Classify(), ExactV: budget.Unknown}
-	out.Known, err = q.AnswerBudgeted(td, bud)
+	var err error
+	out.Known, err = q.AnswerBudgeted(know.DataTree(), bud)
 	if err != nil {
 		if !errors.Is(err, budget.ErrExhausted) {
 			return nil, err
@@ -169,23 +168,15 @@ func (wh *Webhouse) AnswerExtended(ctx context.Context, source string, q extquer
 		}
 		// Step exhaustion: degrade soundly. The partial valuation set was
 		// discarded (it would under-report); serve an explicitly degraded
-		// empty answer with an Unknown verdict, uncached.
+		// empty answer with an Unknown verdict, not memoized.
 		out.BudgetExhausted = true
-		extVerdicts.With(out.Class.String(), out.ExactV.String()).Inc()
-		return out, nil
-	}
-
-	if out.Class.Tractable() {
+	} else if out.Class.Tractable() {
 		if err := wh.certifyExtended(ctx, know, q, out, bud); err != nil {
 			return nil, err
 		}
 	}
 	extVerdicts.With(out.Class.String(), out.ExactV.String()).Inc()
-	if !out.BudgetExhausted {
-		r.storeExt(gen, key, out)
-	}
-	cp := *out
-	return &cp, nil
+	return out, nil
 }
 
 // certifyExtended resolves the exactness verdict for a tractable-class

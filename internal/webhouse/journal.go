@@ -1,10 +1,10 @@
 package webhouse
 
 import (
-	"errors"
 	"sort"
 	"sync"
 
+	"incxml/internal/budget"
 	"incxml/internal/itree"
 	"incxml/internal/query"
 	"incxml/internal/refine"
@@ -120,9 +120,9 @@ func (wh *Webhouse) Export(source string) (doc tree.Tree, knowledge *itree.T, st
 // ReplayObserve folds a journaled observation during recovery, without a
 // budget (replay must be exact: live non-lossy folds are exact too, so the
 // replayed chain reproduces the pre-crash state byte for byte) and without
-// re-journaling. The inconsistency recovery matches the live path: a
-// contradicting observation reinitializes the knowledge and is folded
-// against the fresh state.
+// re-journaling. The inconsistency recovery matches the live path
+// (foldLocked): a contradicting observation is folded against a fresh
+// state, which replaces the knowledge only if that fold succeeds.
 func (wh *Webhouse) ReplayObserve(source string, q query.Query, a tree.Tree) error {
 	r, err := wh.Repo(source)
 	if err != nil {
@@ -130,16 +130,8 @@ func (wh *Webhouse) ReplayObserve(source string, q query.Query, a tree.Tree) err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	err = r.refiner.Observe(q, a)
-	if errors.Is(err, refine.ErrInconsistent) {
-		r.refiner = refine.NewRefiner(r.Source.Type.Alphabet(), r.Source.Type)
-		err = r.refiner.Observe(q, a)
-	}
-	if err != nil {
-		return err
-	}
-	r.invalidate()
-	return nil
+	_, err = r.foldLocked(q, a, func() *budget.B { return nil })
+	return err
 }
 
 // RestoreKnowledge installs a decoded knowledge state — a snapshot, a WAL
@@ -156,7 +148,6 @@ func (wh *Webhouse) RestoreKnowledge(source string, knowledge *itree.T, steps in
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.refiner = refine.RestoreRefiner(r.Source.Type.Alphabet(), r.Source.Type, knowledge, steps, lossy)
-	r.invalidate()
 	wh.journalRecord(JournalEvent{
 		Kind:      EventRestore,
 		Source:    r.Source.Name,
@@ -197,11 +188,10 @@ func (wh *Webhouse) ReplayUpdate(source string, doc tree.Tree) error {
 	return nil
 }
 
-// resetLocked reinitializes the knowledge to the source type and drops
-// cached answers. Caller holds r.mu for writing.
+// resetLocked reinitializes the knowledge to the source type. Caller holds
+// r.mu for writing.
 func (r *Repository) resetLocked() {
 	r.refiner = refine.NewRefiner(r.Source.Type.Alphabet(), r.Source.Type)
-	r.invalidate()
 }
 
 // Quarantine marks a repository unrecoverable: its knowledge is reset to

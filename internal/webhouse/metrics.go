@@ -39,18 +39,17 @@ func (wh *Webhouse) sourceStats() faulty.ClientStats {
 // ExposeMetrics registers this webhouse's serving counters on reg as
 // func-backed, scrape-time views over the same atomics Stats() reads — by
 // construction /stats and /metrics can never disagree. Per-source children
-// (cache generation, live breaker state) are registered for the sources
-// known at call time, so expose after Register-ing the fleet. Metrics are
-// per-webhouse: expose each instance on its own registry (the serving layer
-// does this) and keep the process-global families — engine pool, shared
-// caches, decider verdicts — on obs.Default(), which the instance registry
-// Includes.
+// (live breaker state) are registered for the sources known at call time,
+// so expose after Register-ing the fleet. Metrics are per-webhouse: expose
+// each instance on its own registry (the serving layer does this) and keep
+// the process-global families — engine pool, decision memo, decider
+// verdicts — on obs.Default(), which the instance registry Includes.
 func (wh *Webhouse) ExposeMetrics(reg *obs.Registry) {
 	reg.CounterFunc("incxml_webhouse_answer_cache_hits_total",
-		"Local/extended answers served from the per-source answer caches.",
+		"Local/extended answers served from the answers memoized on the knowledge snapshots.",
 		wh.cacheHits.Load)
 	reg.CounterFunc("incxml_webhouse_answer_cache_misses_total",
-		"Local/extended answer lookups that missed the per-source caches.",
+		"Local/extended answer lookups that found no answer memoized on the knowledge snapshot.",
 		wh.cacheMisses.Load)
 	reg.CounterFunc("incxml_webhouse_degraded_answers_total",
 		"AnswerComplete calls that fell back to the approximate local answer (source unavailable).",
@@ -81,17 +80,13 @@ func (wh *Webhouse) ExposeMetrics(reg *obs.Registry) {
 	wh.ExposeSourceMetrics(reg)
 }
 
-// ExposeSourceMetrics registers only the per-source labeled children
-// (cache generation, live breaker state) on reg. Because label values are
-// source names and webhouses in one process own disjoint source sets, a
-// sharded cluster can call this for each of its webhouses on one shared
-// registry — unlike ExposeMetrics, whose unlabeled func-backed totals are
-// per-webhouse and would silently shadow each other (first registration
-// wins in obs).
+// ExposeSourceMetrics registers only the per-source labeled children (live
+// breaker state) on reg. Because label values are source names and
+// webhouses in one process own disjoint source sets, a sharded cluster can
+// call this for each of its webhouses on one shared registry — unlike
+// ExposeMetrics, whose unlabeled func-backed totals are per-webhouse and
+// would silently shadow each other (first registration wins in obs).
 func (wh *Webhouse) ExposeSourceMetrics(reg *obs.Registry) {
-	gen := reg.NewGaugeVec("incxml_webhouse_cache_generation",
-		"Answer-cache generation of a source's repository (bumps on every knowledge change).",
-		"source")
 	brk := reg.NewGaugeVec("incxml_source_breaker_open",
 		"1 while a source's circuit breaker is open or half-open, 0 when closed.",
 		"source")
@@ -100,7 +95,6 @@ func (wh *Webhouse) ExposeSourceMetrics(reg *obs.Registry) {
 		if err != nil {
 			continue
 		}
-		gen.Func(func() float64 { return float64(r.gen.Load()) }, name)
 		brk.Func(func() float64 {
 			if bo, ok := r.Client().(breakerOpen); ok && bo.BreakerOpen() {
 				return 1

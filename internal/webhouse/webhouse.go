@@ -24,9 +24,10 @@
 // Each repository guards its refinement state with an RWMutex so many
 // readers (AnswerLocally, AnswerExtended, Knowledge) proceed in parallel
 // while acquisition (Explore, AnswerComplete, Invalidate, Update) is
-// exclusive; no lock is held across source I/O. Local answers are cached
-// per source under the query's canonical string and invalidated whenever
-// the knowledge changes.
+// exclusive; no lock is held across source I/O. Local and extended answers
+// are memoized on the knowledge snapshot they were computed from, under the
+// query's canonical string: a fold replaces the snapshot, so a stored answer
+// is never served once the knowledge has changed.
 package webhouse
 
 import (
@@ -135,10 +136,10 @@ func (s *Source) Update(doc tree.Tree) error {
 
 // Repository is the webhouse's incomplete knowledge about one source.
 //
-// mu guards the refiner (the knowledge); cacheMu guards the answer caches
-// and the generation counter together. Lock order is mu before cacheMu;
-// neither is ever held across source I/O — the client is called between
-// the knowledge snapshot and the fold-in.
+// mu guards the refiner (the knowledge). It is never held across source
+// I/O: the client is called between the knowledge snapshot and the fold-in.
+// Answers live on the snapshot (itree.T.Remember), so installing or
+// refolding the refiner is the only invalidation there is.
 type Repository struct {
 	Source *Source
 
@@ -148,27 +149,10 @@ type Repository struct {
 	mu      sync.RWMutex
 	refiner *refine.Refiner
 
-	cacheMu sync.Mutex
-	gen     atomic.Uint64
-	answers map[string]*LocalAnswer
-	ext     map[string]*ExtendedAnswer
-
 	// quarantined marks a repository recovery could not restore: it serves
 	// from pristine (empty) knowledge, flagged so operators and stats can
 	// tell degraded-by-design from healthy (see Webhouse.Quarantine).
 	quarantined atomic.Bool
-}
-
-// invalidate marks the knowledge changed and drops all cached answers.
-// The generation bump and the map clear form one cacheMu critical section:
-// anyone holding cacheMu observes them atomically, so a cached entry can
-// never coexist with a newer generation (see storeLocal).
-func (r *Repository) invalidate() {
-	r.cacheMu.Lock()
-	r.gen.Add(1)
-	r.answers = map[string]*LocalAnswer{}
-	r.ext = map[string]*ExtendedAnswer{}
-	r.cacheMu.Unlock()
 }
 
 // Client returns the source-access client serving this repository.
@@ -211,9 +195,6 @@ func New() *Webhouse {
 // "Resource budgets & overload control").
 func (wh *Webhouse) SetBudget(steps int64) { wh.budgetSteps.Store(steps) }
 
-// BudgetSteps reports the configured per-request step allowance.
-func (wh *Webhouse) BudgetSteps() int64 { return wh.budgetSteps.Load() }
-
 // newBudget builds the cooperative budget for one request. It returns nil
 // (unlimited) when no step allowance is configured and the context carries
 // no deadline, so unconfigured webhouses behave exactly as before. A
@@ -245,8 +226,6 @@ func (wh *Webhouse) Register(src *Source) {
 		Source:  src,
 		client:  faulty.NewDirect(src),
 		refiner: refine.NewRefiner(src.Type.Alphabet(), src.Type),
-		answers: map[string]*LocalAnswer{},
-		ext:     map[string]*ExtendedAnswer{},
 	}
 }
 
@@ -294,12 +273,13 @@ func (wh *Webhouse) Sources() []string {
 	return out
 }
 
-// Stats aggregates the serving-layer counters: the per-source answer cache,
-// the decision memo, source-access reliability, and the worker pool.
+// Stats aggregates the serving-layer counters: the answers and decisions
+// memoized on the knowledge snapshots, source-access reliability, and the
+// worker pool.
 type Stats struct {
 	// AnswerCacheHits/Misses count AnswerLocally and AnswerExtended lookups
-	// served from (resp. missing) the per-source answer caches. These are
-	// per-webhouse.
+	// served from (resp. missing) the answers memoized on the knowledge
+	// snapshots. These are per-webhouse.
 	AnswerCacheHits   uint64
 	AnswerCacheMisses uint64
 	// DegradedAnswers counts AnswerComplete calls that fell back to the
@@ -344,35 +324,46 @@ func (wh *Webhouse) Stats() Stats {
 	}
 }
 
-// observeLocked folds the answer a of query q into r with the paper's
-// recovery strategy: when the observation contradicts the accumulated
-// knowledge — the source changed under us — the repository is
-// reinitialized to the source type and the observation replayed against
-// the fresh state. The refinement runs under the webhouse budget: on
-// exhaustion the refiner degrades to the Proposition 3.13 lossy shrink
-// rather than dropping the (already paid-for) source answer, so
-// acquisition never fails on budget grounds — it merely coarsens. The
-// caller must hold r.mu for writing.
+// observeLocked folds the answer a of query q into r (foldLocked) under the
+// webhouse budget: on exhaustion the refiner degrades to the Proposition
+// 3.13 lossy shrink rather than dropping the (already paid-for) source
+// answer, so acquisition never fails on budget grounds — it merely
+// coarsens. The caller must hold r.mu for writing.
 func (wh *Webhouse) observeLocked(ctx context.Context, r *Repository, q query.Query, a tree.Tree) error {
-	lossy, err := r.refiner.ObserveBudgeted(q, a, wh.newBudget(ctx), refine.DefaultShrinkTo)
-	if errors.Is(err, refine.ErrInconsistent) {
-		r.refiner = refine.NewRefiner(r.Source.Type.Alphabet(), r.Source.Type)
-		lossy, err = r.refiner.ObserveBudgeted(q, a, wh.newBudget(ctx), refine.DefaultShrinkTo)
-	}
+	lossy, err := r.foldLocked(q, a, func() *budget.B { return wh.newBudget(ctx) })
 	if lossy {
 		wh.lossyFallbacks.Add(1)
 	}
 	return err
 }
 
+// foldLocked folds the answer a of query q into r with the paper's recovery
+// strategy: when the observation contradicts the accumulated knowledge —
+// the source changed under us — it is folded into a fresh refiner for the
+// source type, which replaces the knowledge only when that fold succeeds.
+// On any error r is left as it was. Each fold runs under a budget from bud
+// (nil: exact). The caller must hold r.mu for writing.
+func (r *Repository) foldLocked(q query.Query, a tree.Tree, bud func() *budget.B) (lossy bool, err error) {
+	lossy, err = r.refiner.ObserveBudgeted(q, a, bud(), refine.DefaultShrinkTo)
+	if !errors.Is(err, refine.ErrInconsistent) {
+		return lossy, err
+	}
+	fresh := refine.NewRefiner(r.Source.Type.Alphabet(), r.Source.Type)
+	if lossy, err = fresh.ObserveBudgeted(q, a, bud(), refine.DefaultShrinkTo); err == nil {
+		r.refiner = fresh
+	}
+	return lossy, err
+}
+
 // Explore poses a ps-query to the source and folds the answer into the
 // repository (the acquisition loop of Section 3.1). The source is reached
 // through the repository's client outside any repository lock, so a slow
 // source never blocks concurrent readers; the context's deadline bounds
-// the call, retries included. Cached local answers for the source are
-// dropped on success. When the source is unavailable the returned error
-// wraps faulty.ErrUnavailable and the knowledge is left unchanged —
-// acquisition, unlike AnswerComplete, has no approximate fallback.
+// the call, retries included. The fold replaces the knowledge snapshot, and
+// with it every answer memoized on the old one. When the source is
+// unavailable the returned error wraps faulty.ErrUnavailable and the
+// knowledge is left unchanged — acquisition, unlike AnswerComplete, has no
+// approximate fallback.
 func (wh *Webhouse) Explore(ctx context.Context, source string, q query.Query) (tree.Tree, error) {
 	r, err := wh.Repo(source)
 	if err != nil {
@@ -389,7 +380,6 @@ func (wh *Webhouse) Explore(ctx context.Context, source string, q query.Query) (
 	if err := wh.observeLocked(ctx, r, q, a); err != nil {
 		return tree.Tree{}, err
 	}
-	r.invalidate()
 	wh.journalRecord(observeEventLocked(r, q, a))
 	return a, nil
 }
@@ -403,13 +393,12 @@ func (wh *Webhouse) Knowledge(source string) (*itree.T, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.refiner.Reachable(), nil
+	return r.snapshot(), nil
 }
 
 // Invalidate reinitializes the knowledge about a source to its tree type
-// (the paper's treatment of source updates) and drops its cached answers.
+// (the paper's treatment of source updates); answers memoized on the old
+// knowledge are no longer served.
 func (wh *Webhouse) Invalidate(source string) error {
 	r, err := wh.Repo(source)
 	if err != nil {
@@ -427,7 +416,7 @@ func (wh *Webhouse) Invalidate(source string) error {
 }
 
 // Update replaces a source's document and invalidates the now-stale
-// knowledge and cached answers in one step.
+// knowledge in one step.
 func (wh *Webhouse) Update(source string, doc tree.Tree) error {
 	r, err := wh.Repo(source)
 	if err != nil {
@@ -484,7 +473,7 @@ type LocalAnswer struct {
 	Lossy         bool
 	PossibleLossy bool
 	// BudgetExhausted reports that the request budget ran out while
-	// computing this answer (the answer is then never cached).
+	// computing this answer (the answer is then never memoized).
 	BudgetExhausted bool
 	// Certificate is the completeness certificate: the maximal sub-query
 	// (under the certify budget) for which Exact is provably complete, plus
@@ -493,40 +482,25 @@ type LocalAnswer struct {
 	Certificate *certify.Certificate
 }
 
-// lookupLocal consults a repository answer cache; see storeLocal for the
-// staleness protocol.
-func (wh *Webhouse) lookupLocal(r *Repository, key string) (*LocalAnswer, bool) {
-	r.cacheMu.Lock()
-	la, ok := r.answers[key]
-	r.cacheMu.Unlock()
+// recall looks up the answer of the given kind memoized on the knowledge
+// snapshot know under key, counting the lookup as an answer-cache hit or
+// miss.
+func (wh *Webhouse) recall(know *itree.T, kind uint8, key string) (any, bool) {
+	v, ok := know.Recall(kind, key)
 	if ok {
 		wh.cacheHits.Add(1)
 	} else {
 		wh.cacheMisses.Add(1)
 	}
-	return la, ok
+	return v, ok
 }
 
-// storeLocal inserts a computed answer unless the knowledge changed since
-// the computation started, or the map already holds itree.MemoLimit
-// answers (a flood of distinct queries then computes instead of growing
-// the heap). invalidate bumps gen and clears the maps in one cacheMu
-// critical section, so the gen check under cacheMu is exact: the insert
-// happens iff no invalidation intervened since the snapshot.
-func (r *Repository) storeLocal(gen uint64, key string, la *LocalAnswer) {
-	r.cacheMu.Lock()
-	if r.gen.Load() == gen && len(r.answers) < itree.MemoLimit {
-		r.answers[key] = la
-	}
-	r.cacheMu.Unlock()
-}
-
-// snapshot reads the repository's generation and knowledge consistently.
-// The knowledge is the refiner's shared, read-only reachable tree.
-func (r *Repository) snapshot() (uint64, *itree.T) {
+// snapshot returns the repository's knowledge: the refiner's shared,
+// read-only reachable tree, which carries the memo of answers about it.
+func (r *Repository) snapshot() *itree.T {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.gen.Load(), r.refiner.Reachable()
+	return r.refiner.Reachable()
 }
 
 // fallbackSteps bounds the lossy-fallback recomputation: the shrunk tree is
@@ -647,8 +621,9 @@ func (wh *Webhouse) fallbackLocal(know *itree.T, q query.Query, out *LocalAnswer
 
 // AnswerLocally answers q from the repository without contacting the
 // source. Repeated calls with the same query on unchanged knowledge are
-// served from the per-source cache; the independent sub-answers of a miss
-// are fanned out across the worker pool under the caller's deadline.
+// served from the answer memoized on the knowledge snapshot; the
+// independent sub-answers of a miss are fanned out across the worker pool
+// under the caller's deadline.
 func (wh *Webhouse) AnswerLocally(ctx context.Context, source string, q query.Query) (*LocalAnswer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -658,19 +633,19 @@ func (wh *Webhouse) AnswerLocally(ctx context.Context, source string, q query.Qu
 		return nil, err
 	}
 	key := q.String()
-	if la, ok := wh.lookupLocal(r, key); ok {
-		cp := *la
+	know := r.snapshot()
+	if v, ok := wh.recall(know, itree.MemoLocal, key); ok {
+		cp := *v.(*LocalAnswer)
 		return &cp, nil
 	}
-	gen, know := r.snapshot()
 	out, err := wh.computeLocal(ctx, know, q)
 	if err != nil {
 		return nil, err
 	}
-	// Degraded answers are never cached: a later request with headroom (or
+	// Degraded answers are never memoized: a later request with headroom (or
 	// a raised budget) must be able to compute the exact answer.
 	if !out.BudgetExhausted {
-		r.storeLocal(gen, key, out)
+		know.Remember(itree.MemoLocal, key, out)
 	}
 	cp := *out
 	return &cp, nil
@@ -681,7 +656,7 @@ func (wh *Webhouse) AnswerLocally(ctx context.Context, source string, q query.Qu
 // Answer is the query evaluated on the locally known data — a sound lower
 // approximation — and Local carries the full Theorem 3.14 picture
 // (possible-answers tree and modalities) computed from the same knowledge
-// snapshot, never from a cache.
+// snapshot, never from the memo.
 type CompleteAnswer struct {
 	// Answer is the exact answer, or the known-data approximation when
 	// Degraded.
@@ -706,8 +681,7 @@ type CompleteAnswer struct {
 }
 
 // degrade falls back to the best locally-computable approximation after a
-// source failure, computing it fresh from the knowledge snapshot (a stale
-// cached answer must never masquerade as the degraded result).
+// source failure, computing it fresh from the knowledge snapshot.
 func (wh *Webhouse) degrade(ctx context.Context, know *itree.T, q query.Query, attempted int, cause error) (*CompleteAnswer, error) {
 	la, err := wh.computeLocal(ctx, know, q)
 	if err != nil {
@@ -741,7 +715,6 @@ func (wh *Webhouse) askWhole(ctx context.Context, r *Repository, client faulty.S
 	if err := wh.observeLocked(ctx, r, q, a); err != nil {
 		return nil, err
 	}
-	r.invalidate()
 	wh.journalRecord(observeEventLocked(r, q, a))
 	return &CompleteAnswer{Answer: a, LocalQueries: 1, Certificate: certify.Exact(q, a)}, nil
 }
@@ -763,7 +736,7 @@ func (wh *Webhouse) AnswerComplete(ctx context.Context, source string, q query.Q
 	if err != nil {
 		return nil, err
 	}
-	_, know := r.snapshot()
+	know := r.snapshot()
 	// Unknown (budget exhausted) is treated as "not certified": the source
 	// is contacted, which is always sound, merely less frugal.
 	certBud := wh.newBudget(ctx)
@@ -812,15 +785,6 @@ func (wh *Webhouse) AnswerComplete(ctx context.Context, source string, q query.Q
 	if err := wh.observeLocked(ctx, r, q, result); err != nil {
 		return nil, err
 	}
-	r.invalidate()
 	wh.journalRecord(observeEventLocked(r, q, result))
 	return &CompleteAnswer{Answer: result, LocalQueries: len(ls), Certificate: certify.Exact(q, result)}, nil
-}
-
-// Refiner exposes the repository's refinement chain (for advanced use and
-// testing). Not safe against concurrent acquisition.
-func (r *Repository) Refiner() *refine.Refiner {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.refiner
 }

@@ -2,9 +2,13 @@ package webhouse
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"incxml/internal/faulty"
+	"incxml/internal/query"
 	"incxml/internal/rat"
+	"incxml/internal/refine"
 	"incxml/internal/tree"
 	"incxml/internal/workload"
 )
@@ -250,12 +254,86 @@ func TestObserveInconsistencyKeepsState(t *testing.T) {
 	badAnswer := workload.Query1(200).Eval(workload.CatalogDocument([]workload.Product{
 		{ID: "canon", Name: 10, Price: 130, Subcat: workload.ValCamera},
 	}))
-	err := r.Refiner().Observe(workload.Query1(200), badAnswer)
+	err := r.refiner.Observe(workload.Query1(200), badAnswer)
 	if err == nil {
 		t.Fatal("contradictory observation accepted")
 	}
 	know2, _ := wh.Knowledge("catalog")
 	if know2.Size() != size1 {
 		t.Error("failed observation mutated the knowledge")
+	}
+}
+
+// selfContradictingClient answers every ps-query with a catalog whose one
+// product has two name children, which the catalog type forbids: the answer
+// contradicts the source type by itself, so neither the accumulated nor a
+// fresh knowledge can absorb it.
+type selfContradictingClient struct{ faulty.Direct }
+
+func (selfContradictingClient) Ask(context.Context, query.Query) (tree.Tree, error) {
+	return twoNameCatalog(), nil
+}
+
+func twoNameCatalog() tree.Tree {
+	return tree.Tree{Root: tree.NewID("c0", "catalog", rat.Zero,
+		tree.NewID("bad", "product", rat.Zero,
+			tree.NewID("bad.name", "name", rat.FromInt(1)),
+			tree.NewID("bad.name2", "name", rat.FromInt(2)),
+			tree.NewID("bad.price", "price", rat.FromInt(100)),
+			tree.NewID("bad.cat", "cat", rat.FromInt(workload.ValElec),
+				tree.NewID("bad.sub", "subcat", rat.FromInt(workload.ValCamera)))))}
+}
+
+// recordingJournal counts the events it is handed.
+type recordingJournal struct{ events int }
+
+func (j *recordingJournal) Record(JournalEvent) { j.events++ }
+
+// TestFailedRefoldKeepsKnowledge checks the recovery path when the re-fold
+// into a fresh refiner fails too: the error is returned, the knowledge (and
+// its snapshot) is the one from before, nothing is journaled, and the local
+// answer still agrees with that knowledge. Live exploration and journal
+// replay share the path.
+func TestFailedRefoldKeepsKnowledge(t *testing.T) {
+	ctx := context.Background()
+	wh, src := newCatalogWebhouse(t)
+	if _, err := wh.Explore(ctx, "catalog", workload.Query1(200)); err != nil {
+		t.Fatal(err)
+	}
+	q := workload.Query3(100)
+	if la, err := wh.AnswerLocally(ctx, "catalog", q); err != nil || !la.Fully {
+		t.Fatalf("Query 3 not fully answerable before the failed fold: %+v, %v", la, err)
+	}
+	know, err := wh.Knowledge("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &recordingJournal{}
+	wh.SetJournal(j)
+	if err := wh.SetClient("catalog", selfContradictingClient{faulty.NewDirect(src)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wh.Explore(ctx, "catalog", workload.Query1(200)); !errors.Is(err, refine.ErrInconsistent) {
+		t.Fatalf("Explore of a self-contradicting answer: err = %v, want ErrInconsistent", err)
+	}
+	if err := wh.ReplayObserve("catalog", workload.Query1(200), twoNameCatalog()); !errors.Is(err, refine.ErrInconsistent) {
+		t.Fatalf("ReplayObserve of a self-contradicting answer: err = %v, want ErrInconsistent", err)
+	}
+	if got, err := wh.Knowledge("catalog"); err != nil || got != know {
+		t.Fatalf("a failed fold replaced the knowledge (size %d -> %d)", know.Size(), got.Size())
+	}
+	if j.events != 0 {
+		t.Errorf("a failed fold journaled %d events", j.events)
+	}
+	la, err := wh.AnswerLocally(ctx, "catalog", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := wh.computeLocal(ctx, know.Clone(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.FullyV != want.FullyV || !la.Exact.Equal(want.Exact) {
+		t.Errorf("local answer (fully %v) disagrees with the knowledge (fully %v)", la.FullyV, want.FullyV)
 	}
 }
