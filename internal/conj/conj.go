@@ -9,6 +9,9 @@
 // (Example 3.2). The price is Theorem 3.10: emptiness becomes NP-complete;
 // the implementation exposes both the certificate-guessing NP procedure and
 // an explicit (exponential) expansion back to a regular incomplete tree.
+// Refine⁺ is Refine with the Lemma 3.3 product deferred, so the expansion
+// (ToITree, and every certificate tree T_π) is refine.Product, the same
+// product Refine computes, over all conjuncts at once.
 package conj
 
 import (
@@ -21,7 +24,6 @@ import (
 	"incxml/internal/budget"
 	"incxml/internal/cond"
 	"incxml/internal/ctype"
-	"incxml/internal/dtd"
 	"incxml/internal/itree"
 	"incxml/internal/query"
 	"incxml/internal/refine"
@@ -34,7 +36,7 @@ type CNF []ctype.Disj
 
 // RootChoice is one conjunct of the root constraint: the root must be typed
 // by some symbol of every RootChoice simultaneously.
-type RootChoice []ctype.Symbol
+type RootChoice = []ctype.Symbol
 
 // T is a conjunctive incomplete tree.
 type T struct {
@@ -156,13 +158,8 @@ func (t *T) RefinePlus(q query.Query, a tree.Tree, sigma []tree.Label) error {
 	if err != nil {
 		return err
 	}
-	// Compatibility of shared data nodes (precondition of Lemma 3.3).
-	for n, info := range qa.Nodes {
-		if prev, ok := t.Nodes[n]; ok {
-			if prev.Label != info.Label || !prev.Value.Equal(info.Value) {
-				return fmt.Errorf("conj: node %q reported with conflicting label/value", n)
-			}
-		}
+	if !refine.Compatible(t.Nodes, qa.Nodes) {
+		return refine.ErrIncompatible
 	}
 	step := 0
 	for {
@@ -203,324 +200,31 @@ func stepSym(step int, s ctype.Symbol) ctype.Symbol {
 	return ctype.Symbol(fmt.Sprintf("s%d:%s", step, s))
 }
 
-// setSymbol names the regular-tree symbol for a set of conjunctive symbols.
-func setSymbol(set []ctype.Symbol) ctype.Symbol {
-	parts := make([]string, len(set))
-	for i, s := range set {
-		parts[i] = string(s)
-	}
-	return ctype.Symbol("{" + strings.Join(parts, "+") + "}")
-}
-
-// normalizeSet sorts and deduplicates a symbol set.
-func normalizeSet(set []ctype.Symbol) []ctype.Symbol {
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	out := set[:0]
-	var prev ctype.Symbol
-	for i, s := range set {
-		if i == 0 || s != prev {
-			out = append(out, s)
-		}
-		prev = s
-	}
-	return out
-}
-
-// compatibleSet checks that the symbols of a set can simultaneously type one
-// node, returning the combined σ-target: at most one distinct data node, and
-// all label targets equal (and equal to the node's label if a node target is
-// present).
-func (t *T) compatibleSet(set []ctype.Symbol) (ctype.Target, bool) {
-	var node tree.NodeID
-	var label tree.Label
-	haveLabel := false
-	for _, s := range set {
-		tg := t.TargetFor(s)
-		if tg.IsNode() {
-			if node != "" && node != tg.Node {
-				return ctype.Target{}, false
-			}
-			node = tg.Node
-		} else {
-			if haveLabel && label != tg.Label {
-				return ctype.Target{}, false
-			}
-			haveLabel = true
-			label = tg.Label
-		}
-	}
-	if node != "" {
-		info, ok := t.Nodes[node]
-		if !ok {
-			return ctype.Target{}, false
-		}
-		if haveLabel && label != info.Label {
-			return ctype.Target{}, false
-		}
-		return ctype.NodeTarget(node), true
-	}
-	return ctype.LabelTarget(label), true
-}
-
 // ToITree expands the conjunctive tree into an equivalent regular incomplete
-// tree by materializing the alternation: reachable symbol sets become
-// product symbols and every per-conjunct atom choice becomes one disjunct.
-// The output is worst-case exponential in the input — this is exactly the
-// DNF blow-up that conjunctive trees defer (Example 3.2), and the E6
-// benchmarks measure it.
+// tree by materializing the alternation: it is the one-factor
+// refine.Product, the Lemma 3.3 product that Refine computes per step, here
+// over k conjuncts at once. Reachable symbol sets become product symbols
+// and every per-conjunct atom choice becomes one disjunct. The output is
+// worst-case exponential in the input — this is exactly the DNF blow-up
+// that conjunctive trees defer (Example 3.2), and the E6 benchmarks
+// measure it.
 func (t *T) ToITree() (*itree.T, error) {
-	return t.toITree(nil)
+	return t.product(t.CNFFor, nil)
 }
 
-// toITree is ToITree with a cooperative budget: one step per materialized
-// product symbol and per candidate join tuple, so the exponential expansion
-// stops promptly when a budget runs out. A nil budget is unlimited.
-func (t *T) toITree(bud *budget.B) (*itree.T, error) {
-	out := itree.New()
-	out.MayBeEmpty = t.MayBeEmpty
-	for n, info := range t.Nodes {
-		out.Nodes[n] = info
-	}
-	ty := out.Type
-
-	var ensure func(set []ctype.Symbol) (ctype.Symbol, bool, error)
-	ensure = func(set []ctype.Symbol) (ctype.Symbol, bool, error) {
-		if err := bud.Charge(1); err != nil {
-			return "", false, err
-		}
-		set = normalizeSet(append([]ctype.Symbol(nil), set...))
-		ps := setSymbol(set)
-		if _, done := ty.Sigma[ps]; done {
-			return ps, true, nil
-		}
-		tg, ok := t.compatibleSet(set)
-		if !ok {
-			return "", false, nil
-		}
-		c := cond.True()
-		for _, s := range set {
-			c = c.And(t.CondFor(s))
-		}
-		ty.Sigma[ps] = tg
-		ty.Cond[ps] = c
-		ty.Mu[ps] = ctype.Disj{} // placeholder against recursion
-		// Combined CNF: all conjuncts of all members.
-		var conjuncts []ctype.Disj
-		for _, s := range set {
-			conjuncts = append(conjuncts, t.CNFFor(s)...)
-		}
-		var disj ctype.Disj
-		var rec func(idx int, chosen []ctype.SAtom) error
-		rec = func(idx int, chosen []ctype.SAtom) error {
-			if idx == len(conjuncts) {
-				atom, ok, err := t.joinAtoms(chosen, ensure, bud)
-				if err != nil {
-					return err
-				}
-				if ok {
-					disj = append(disj, atom)
-				}
-				return nil
-			}
-			for _, a := range conjuncts[idx] {
-				if err := rec(idx+1, append(chosen, a)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := rec(0, nil); err != nil {
-			return "", false, err
-		}
-		ty.Mu[ps] = disj
-		return ps, true, nil
-	}
-
-	// Root sets: one symbol from every root choice.
-	if len(t.Roots) == 0 {
-		return out, nil
-	}
-	seenRoot := map[ctype.Symbol]bool{}
-	var pick func(idx int, acc []ctype.Symbol) error
-	pick = func(idx int, acc []ctype.Symbol) error {
-		if idx == len(t.Roots) {
-			ps, ok, err := ensure(acc)
-			if err != nil {
-				return err
-			}
-			if ok && !seenRoot[ps] {
-				seenRoot[ps] = true
-				ty.Roots = append(ty.Roots, ps)
-			}
-			return nil
-		}
-		for _, s := range t.Roots[idx] {
-			if err := pick(idx+1, append(acc, s)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := pick(0, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// joinAtoms computes the k-way ⋈ of the chosen atoms: items combine into
-// tuples of pairwise compatible items (one from each atom); required items
-// must be covered by some tuple.
-func (t *T) joinAtoms(atoms []ctype.SAtom, ensure func([]ctype.Symbol) (ctype.Symbol, bool, error), bud *budget.B) (ctype.SAtom, bool, error) {
-	if len(atoms) == 0 {
-		return ctype.SAtom{}, true, nil
-	}
-	type tuple struct {
-		set    []ctype.Symbol
-		mult   dtd.Mult
-		covers [][2]int // (atom index, item index) pairs covered
-	}
-	tuples := []tuple{{set: nil, mult: dtd.Star}}
-	for ai, a := range atoms {
-		var next []tuple
-		for _, tp := range tuples {
-			for ii, item := range a {
-				if err := bud.Charge(1); err != nil {
-					return nil, false, err
-				}
-				set := append(append([]ctype.Symbol(nil), tp.set...), item.Sym)
-				if _, ok := t.compatibleSet(normalizeSet(append([]ctype.Symbol(nil), set...))); !ok {
-					continue
-				}
-				// Value compatibility: a node item pins the value; every
-				// label item's condition must admit it.
-				if !t.valueCompatible(set) {
-					continue
-				}
-				m := tp.mult
-				if ai == 0 {
-					m = item.Mult
-				} else {
-					m = joinMult(m, item.Mult)
-				}
-				covers := append(append([][2]int(nil), tp.covers...), [2]int{ai, ii})
-				next = append(next, tuple{set: set, mult: m, covers: covers})
-			}
-		}
-		tuples = next
-		if len(tuples) == 0 {
-			break
-		}
-	}
-	// Coverage check: every required item of every atom appears in a tuple.
-	covered := map[[2]int]bool{}
-	for _, tp := range tuples {
-		for _, c := range tp.covers {
-			covered[c] = true
-		}
-	}
-	for ai, a := range atoms {
-		for ii, item := range a {
-			if lo, _ := item.Mult.Bounds(); lo >= 1 && !covered[[2]int{ai, ii}] {
-				return nil, false, nil
-			}
-		}
-	}
-	// Materialize tuple symbols, summing bounds of duplicates.
-	type bounds struct{ lo, hi int }
-	acc := map[ctype.Symbol]*bounds{}
-	var order []ctype.Symbol
-	for _, tp := range tuples {
-		ps, ok, err := ensure(tp.set)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			continue
-		}
-		lo, hi := tp.mult.Bounds()
-		if b, ok := acc[ps]; ok {
-			b.lo += lo
-			if b.hi < 0 || hi < 0 {
-				b.hi = -1
-			} else {
-				b.hi += hi
-			}
-		} else {
-			acc[ps] = &bounds{lo, hi}
-			order = append(order, ps)
-		}
-	}
-	var atom ctype.SAtom
-	for _, ps := range order {
-		b := acc[ps]
-		var m dtd.Mult
-		switch {
-		case b.lo == 0 && b.hi == 1:
-			m = dtd.Opt
-		case b.lo == 1 && b.hi == 1:
-			m = dtd.One
-		case b.lo == 0 && b.hi < 0:
-			m = dtd.Star
-		case b.lo == 1 && b.hi < 0:
-			m = dtd.Plus
-		default:
-			return nil, false, fmt.Errorf("conj: combined multiplicity [%d,%d] not expressible", b.lo, b.hi)
-		}
-		atom = append(atom, ctype.SItem{Sym: ps, Mult: m})
-	}
-	return atom, true, nil
-}
-
-// valueCompatible checks that a set mixing a node item with label items is
-// value-consistent: the pinned ν must satisfy every label condition.
-func (t *T) valueCompatible(set []ctype.Symbol) bool {
-	var pinned *itree.NodeInfo
-	for _, s := range set {
-		if tg := t.TargetFor(s); tg.IsNode() {
-			info, ok := t.Nodes[tg.Node]
-			if !ok {
-				return false
-			}
-			pinned = &info
-			break
-		}
-	}
-	if pinned == nil {
-		return true
-	}
-	for _, s := range set {
-		if tg := t.TargetFor(s); !tg.IsNode() {
-			if !t.CondFor(s).Holds(pinned.Value) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// joinMult is the ∧ of Lemma 3.3 extended to the four multiplicities by
-// intersecting occurrence bounds.
-func joinMult(m1, m2 dtd.Mult) dtd.Mult {
-	lo1, hi1 := m1.Bounds()
-	lo2, hi2 := m2.Bounds()
-	lo := lo1
-	if lo2 > lo {
-		lo = lo2
-	}
-	hi := hi1
-	if hi < 0 || (hi2 >= 0 && hi2 < hi) {
-		hi = hi2
-	}
-	switch {
-	case lo == 1 && hi == 1:
-		return dtd.One
-	case lo == 0 && hi == 1:
-		return dtd.Opt
-	case lo == 1 && hi < 0:
-		return dtd.Plus
-	default:
-		return dtd.Star
-	}
+// product is the one-factor refine.Product of t with the conjuncts of each
+// symbol given by cnf, under a cooperative budget (nil: unlimited).
+func (t *T) product(cnf func(ctype.Symbol) CNF, bud *budget.B) (*itree.T, error) {
+	return refine.Product([]refine.Factor{{
+		Nodes:      t.Nodes,
+		Roots:      t.Roots,
+		MayBeEmpty: t.MayBeEmpty,
+		Target:     t.TargetFor,
+		Cond:       t.CondFor,
+		AppendConjuncts: func(dst []ctype.Disj, s ctype.Symbol) []ctype.Disj {
+			return append(dst, cnf(s)...)
+		},
+	}}, bud)
 }
 
 // Member reports whether d ∈ rep(T), via the exact expansion.
@@ -587,48 +291,22 @@ func (t *T) certificateSpace() (syms []ctype.Symbol, counts []int) {
 // only non-nil error is budget exhaustion, which must abort the scan rather
 // than masquerade as an infeasible certificate.
 func (t *T) buildPi(syms []ctype.Symbol, idx []int, bud *budget.B) (*itree.T, error) {
-	// Decode the per-symbol atom choices.
-	choice := map[ctype.Symbol][]ctype.SAtom{}
+	// Decode the per-symbol atom choices into singleton disjunctions; with
+	// them the expansion is polynomial.
+	choice := make(map[ctype.Symbol]CNF, len(syms))
 	for i, s := range syms {
-		cnf := t.CNFFor(s)
 		rem := idx[i]
-		var atoms []ctype.SAtom
-		ok := true
-		for _, d := range cnf {
+		var cnf CNF
+		for _, d := range t.CNFFor(s) {
 			if len(d) == 0 {
-				ok = false
-				break
+				return nil, nil
 			}
-			atoms = append(atoms, d[rem%len(d)])
+			cnf = append(cnf, ctype.Disj{d[rem%len(d)]})
 			rem /= len(d)
 		}
-		if !ok {
-			return nil, nil
-		}
-		choice[s] = atoms
+		choice[s] = cnf
 	}
-	// Build the restricted conjunctive tree and expand it; with singleton
-	// disjunctions the expansion is polynomial.
-	restricted := New()
-	restricted.MayBeEmpty = t.MayBeEmpty
-	for n, info := range t.Nodes {
-		restricted.Nodes[n] = info
-	}
-	restricted.Roots = t.Roots
-	for s, atoms := range choice {
-		cnf := make(CNF, len(atoms))
-		for i, a := range atoms {
-			cnf[i] = ctype.Disj{a}
-		}
-		restricted.Mu[s] = cnf
-	}
-	for s, c := range t.Cond {
-		restricted.Cond[s] = c
-	}
-	for s, tg := range t.Sigma {
-		restricted.Sigma[s] = tg
-	}
-	expanded, err := restricted.toITree(bud)
+	expanded, err := t.product(func(s ctype.Symbol) CNF { return choice[s] }, bud)
 	if err != nil {
 		if errors.Is(err, budget.ErrExhausted) {
 			return nil, err

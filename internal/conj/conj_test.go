@@ -1,6 +1,8 @@
 package conj
 
 import (
+	"errors"
+	"maps"
 	"testing"
 
 	"incxml/internal/cond"
@@ -227,6 +229,29 @@ func TestMemberWithDataNodes(t *testing.T) {
 		tree.NewID("x", "a", v(1)))}
 	if err := cc.RefinePlus(q1, badWorld, sigmaRAB); err == nil {
 		t.Error("conflicting node report accepted")
+	}
+}
+
+// TestRefinePlusIncompatibleNode: a known node re-reported with another
+// value violates the Lemma 3.3 precondition, which RefinePlus reports as
+// the Refine fold does (refine.ErrIncompatible), leaving the tree as it was.
+func TestRefinePlusIncompatibleNode(t *testing.T) {
+	q := query.Query{Root: query.N("root", cond.True(), query.N("a", cond.True()))}
+	answer := func(x int64) tree.Tree {
+		return q.Eval(tree.Tree{Root: tree.NewID("r", "root", v(0), tree.NewID("x", "a", v(x)))})
+	}
+	c := FromITree(refine.Universal(sigmaRAB))
+	if err := c.RefinePlus(q, answer(1), sigmaRAB); err != nil {
+		t.Fatal(err)
+	}
+	rendered, nodes := c.String(), maps.Clone(c.Nodes)
+	if err := c.RefinePlus(q, answer(2), sigmaRAB); !errors.Is(err, refine.ErrIncompatible) {
+		t.Fatalf("conflicting re-report: err = %v, want refine.ErrIncompatible", err)
+	}
+	if c.String() != rendered || !maps.EqualFunc(c.Nodes, nodes, func(a, b itree.NodeInfo) bool {
+		return a.Label == b.Label && a.Value.Equal(b.Value)
+	}) {
+		t.Errorf("rejected re-report changed the tree:\n%s", c)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"incxml/internal/ctype"
 	"incxml/internal/dtd"
 	"incxml/internal/rat"
+	"incxml/internal/refine"
 	"incxml/internal/tree"
 )
 
@@ -143,7 +144,7 @@ func newScanProg(t *T, ctx context.Context, b *budget.B) *scanProg {
 		sets:     make(map[string]*setEntry),
 	}
 	// Static join-error analysis. The only non-budget failure the reference
-	// build can hit is the joinAtoms bounds-merge error, which needs two
+	// build can hit is refine.Product's bounds-merge error, which needs two
 	// distinct tuples of one join normalizing to the same symbol set with an
 	// inexpressible summed multiplicity. Either of two global conditions rules
 	// it out for every certificate:
@@ -288,7 +289,7 @@ func (p *scanProg) packSet(members []int32) []byte {
 	return key
 }
 
-// internSet canonicalizes members (sort + dedup, mirroring normalizeSet) and
+// internSet canonicalizes members (sort + dedup, as refine.Product does) and
 // returns the set's record, computing target compatibility and the effective
 // condition on first sight. Returns nil only when the budget aborts.
 func (p *scanProg) internSet(members []int32) *setEntry {
@@ -331,9 +332,10 @@ func (p *scanProg) internSet(members []int32) *setEntry {
 	return e
 }
 
-// setTarget is compatibleSet over symbol indices: at most one distinct data
-// node, all label targets equal (and matching the node's label when both
-// kinds are present). It returns the pinned node, "" for pure label sets.
+// setTarget is refine.Product's one-factor target check over symbol
+// indices: at most one distinct data node, all label targets equal (and
+// matching the node's label when both kinds are present). It returns the
+// pinned node, "" for pure label sets.
 func (p *scanProg) setTarget(set []int32) (tree.NodeID, bool) {
 	var node tree.NodeID
 	var label tree.Label
@@ -365,8 +367,8 @@ func (p *scanProg) setTarget(set []int32) (tree.NodeID, bool) {
 	return node, true
 }
 
-// tupleValueCompatible mirrors valueCompatible over indices: a node item
-// pins the value, which every label item's condition must admit.
+// tupleValueCompatible mirrors refine.Product's value check over indices: a
+// node item pins the value, which every label item's condition must admit.
 func (p *scanProg) tupleValueCompatible(set []int32) bool {
 	var pinned rat.Rat
 	havePinned := false
@@ -621,9 +623,9 @@ func (p *scanProg) join(e *setEntry) *joinRes {
 	return r
 }
 
-// computeJoin replicates joinAtoms over the flattened conjuncts of e's
-// members in set order, decoding each member's digit into one atom per
-// conjunct exactly as buildPi does.
+// computeJoin replicates refine.Product's k-way join over the flattened
+// conjuncts of e's members in set order, decoding each member's digit into
+// one atom per conjunct exactly as buildPi does.
 func (p *scanProg) computeJoin(e *setEntry) *joinRes {
 	var atoms []ctype.SAtom
 	for _, m := range e.members {
@@ -656,10 +658,7 @@ func (p *scanProg) computeJoin(e *setEntry) *joinRes {
 				if !p.tupleValueCompatible(set) {
 					continue
 				}
-				m := item.Mult
-				if ai > 0 {
-					m = joinMult(tp.mult, item.Mult)
-				}
+				m := refine.JoinMult(tp.mult, item.Mult)
 				covers := append(append(make([][2]int, 0, len(tp.covers)+1), tp.covers...), [2]int{ai, ii})
 				next = append(next, jtuple{set: set, mult: m, covers: covers})
 			}
@@ -683,7 +682,7 @@ func (p *scanProg) computeJoin(e *setEntry) *joinRes {
 		}
 	}
 	// Materialize the tuple sets, summing bounds of duplicates in first-
-	// appearance order, as joinAtoms does by product-symbol name.
+	// appearance order, as refine.Product does by product symbol.
 	type bounds struct{ lo, hi int }
 	acc := map[*setEntry]*bounds{}
 	var order []*setEntry
@@ -711,19 +710,10 @@ func (p *scanProg) computeJoin(e *setEntry) *joinRes {
 	r := &joinRes{ok: true, items: make([]joinItem, 0, len(order))}
 	for _, child := range order {
 		b := acc[child]
-		var m dtd.Mult
-		switch {
-		case b.lo == 0 && b.hi == 1:
-			m = dtd.Opt
-		case b.lo == 1 && b.hi == 1:
-			m = dtd.One
-		case b.lo == 0 && b.hi < 0:
-			m = dtd.Star
-		case b.lo == 1 && b.hi < 0:
-			m = dtd.Plus
-		default:
-			// Same condition that makes joinAtoms error: the reference scan
-			// discards the whole certificate, so a witness through a
+		m, ok := dtd.MultOf(b.lo, b.hi)
+		if !ok {
+			// Same condition that makes refine.Product error: the reference
+			// scan discards the whole certificate, so a witness through a
 			// poisoned region must be re-checked (emptyScan falls back).
 			p.poisoned = true
 			return &joinRes{err: true}

@@ -50,6 +50,17 @@ func (m Mult) Bounds() (lo, hi int) {
 	}
 }
 
+// MultOf returns the multiplicity whose Bounds are [lo, hi], the inverse of
+// Bounds; ok is false when none of the four has that range.
+func MultOf(lo, hi int) (m Mult, ok bool) {
+	for _, m := range [...]Mult{One, Opt, Plus, Star} {
+		if l, h := m.Bounds(); l == lo && h == hi {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
 // String renders the multiplicity as written after a label ("" for 1).
 func (m Mult) String() string {
 	if m == One {

@@ -171,6 +171,13 @@ func TestMultBounds(t *testing.T) {
 		if lo != c.lo || hi != c.hi {
 			t.Errorf("Bounds(%c) = %d,%d", c.m, lo, hi)
 		}
+		if m, ok := MultOf(c.lo, c.hi); !ok || m != c.m {
+			t.Errorf("MultOf(%d,%d) = %c,%v", c.lo, c.hi, m, ok)
+		}
+	}
+	// Summed bounds such as 1 + ? = [1,2] have no multiplicity.
+	if m, ok := MultOf(1, 2); ok {
+		t.Errorf("MultOf(1,2) = %c, want none", m)
 	}
 }
 

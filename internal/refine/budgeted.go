@@ -11,8 +11,8 @@ import (
 	"incxml/internal/tree"
 )
 
-// DefaultShrinkTo is the representation-size cap the lossy fallback shrinks
-// to when the caller does not specify one.
+// DefaultShrinkTo is the representation-size cap the lossy fallback of
+// ObserveBudgeted shrinks to.
 const DefaultShrinkTo = 128
 
 // RefineBudgeted is one step of Algorithm Refine under a budget: the
@@ -32,7 +32,7 @@ func RefineBudgeted(t *itree.T, q query.Query, a tree.Tree, sigma []tree.Label, 
 // under a budget; a nil budget always takes the exact step (intersection +
 // compaction), which is what Observe does. When the budget is exhausted it
 // falls back to the lossy-shrinking escape hatch of Proposition 3.13: the
-// accumulated tree is shrunk to at most shrinkTo size units (merging
+// accumulated tree is shrunk to at most DefaultShrinkTo size units (merging
 // same-label specializations, a rep-superset), the observation is folded
 // into the shrunk tree exactly, and the result is shrunk again if compaction
 // left it above the cap. The fallback keeps every step cheap and the
@@ -42,64 +42,51 @@ func RefineBudgeted(t *itree.T, q query.Query, a tree.Tree, sigma []tree.Label, 
 // answer computed from it is still certain for... the superset — callers
 // must treat post-lossy answers as approximations, which Lossy reports.
 //
-// The returned lossy flag is true when this step (or any earlier one)
-// degraded. shrinkTo <= 0 uses DefaultShrinkTo.
-func (r *Refiner) ObserveBudgeted(q query.Query, a tree.Tree, bud *budget.B, shrinkTo int) (lossy bool, err error) {
-	degradedNow := false
-	defer func() { recordObserve(degradedNow, err) }()
-	if shrinkTo <= 0 {
-		shrinkTo = DefaultShrinkTo
-	}
+// The returned degraded flag is true when this step was folded through the
+// fallback; Lossy reports whether any step was.
+func (r *Refiner) ObserveBudgeted(q query.Query, a tree.Tree, bud *budget.B) (degraded bool, err error) {
+	defer func() { recordObserve(degraded, err) }()
 	qa, err := FromQueryAnswer(q, a, r.sigma)
 	if err != nil {
-		return r.lossy, err
+		return false, err
 	}
 	next, err := IntersectBudgeted(r.cur, qa, bud)
-	if err != nil {
-		if !errors.Is(err, budget.ErrExhausted) {
-			// A known node came back with a different label or value: the
-			// same inconsistency signal as an empty intersection.
-			if errors.Is(err, ErrIncompatible) {
-				return r.lossy, fmt.Errorf("%w: %v", ErrInconsistent, err)
-			}
-			return r.lossy, err
-		}
+	if errors.Is(err, budget.ErrExhausted) {
 		// Lossy fallback (Proposition 3.13): shrink the accumulated tree to
 		// the cap, then fold the observation exactly — cheap because the
 		// shrunk tree is small and T_{q,A} is polynomial in |q| + |a|.
-		shrunk := heuristics.LossyShrink(r.cur, shrinkTo)
-		next, err = Intersect(shrunk, qa)
-		if err != nil {
-			if errors.Is(err, ErrIncompatible) {
-				return r.lossy, fmt.Errorf("%w: %v", ErrInconsistent, err)
-			}
-			return r.lossy, err
+		next, err = Intersect(heuristics.LossyShrink(r.cur, DefaultShrinkTo), qa)
+		degraded = true
+	}
+	if err != nil {
+		// A known node came back with a different label or value: the
+		// same inconsistency signal as an empty intersection.
+		if errors.Is(err, ErrIncompatible) {
+			err = fmt.Errorf("%w: %v", ErrInconsistent, err)
 		}
-		degradedNow = true
+		return false, err
 	}
 	next = Compact(next)
-	if degradedNow && next.Size() > shrinkTo {
-		next = heuristics.LossyShrink(next, shrinkTo)
+	if degraded && next.Size() > DefaultShrinkTo {
+		next = heuristics.LossyShrink(next, DefaultShrinkTo)
 	}
 	// rep(true refinement) ⊆ rep(next) even after shrinking, so an empty
 	// next still soundly signals inconsistency.
 	if next.Empty() {
-		return r.lossy, fmt.Errorf("%w (after %d observations)", ErrInconsistent, r.steps+1)
+		return false, fmt.Errorf("%w (after %d observations)", ErrInconsistent, r.steps+1)
 	}
 	// Emptiness can also be induced only in combination with the source
 	// type; check the reachable tree too when a type is known.
 	if r.source != nil {
 		if reach := WithTreeType(next, r.source); reach.Empty() {
-			return r.lossy, fmt.Errorf("%w (answers conflict with the source type after %d observations)", ErrInconsistent, r.steps+1)
+			return false, fmt.Errorf("%w (answers conflict with the source type after %d observations)", ErrInconsistent, r.steps+1)
 		}
 	}
 	r.cur = next
 	r.reach.Store(nil)
 	r.steps++
-	if degradedNow {
-		r.lossy = true
-	}
-	return r.lossy, nil
+	r.lossy = r.lossy || degraded
+	return degraded, nil
 }
 
 // Lossy reports whether any observation was folded through the lossy

@@ -64,7 +64,7 @@ func TestObserveBudgetedExactWhenAffordable(t *testing.T) {
 		if err := exact.Observe(q, a); err != nil {
 			t.Fatal(err)
 		}
-		lossy, err := budgeted.ObserveBudgeted(q, a, budget.New(context.Background(), 10_000_000), 0)
+		lossy, err := budgeted.ObserveBudgeted(q, a, budget.New(context.Background(), 10_000_000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,6 @@ func TestObserveBudgetedLossyIsSuperset(t *testing.T) {
 		tree.NewID("a1", "a", bv(1)), tree.NewID("b1", "b", bv(2)))}
 	exact := NewRefiner(budSigma, nil)
 	budgeted := NewRefiner(budSigma, nil)
-	const cap = 60
 	sawLossy := false
 	for i := int64(1); i <= 5; i++ {
 		q := budBlowupQuery(i)
@@ -93,7 +92,7 @@ func TestObserveBudgetedLossyIsSuperset(t *testing.T) {
 		if err := exact.Observe(q, a); err != nil {
 			t.Fatal(err)
 		}
-		lossy, err := budgeted.ObserveBudgeted(q, a, budget.New(context.Background(), 60), cap)
+		lossy, err := budgeted.ObserveBudgeted(q, a, budget.New(context.Background(), 60))
 		if err != nil {
 			t.Fatal(err)
 		}

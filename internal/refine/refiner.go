@@ -78,7 +78,7 @@ var ErrInconsistent = errors.New("refine: observation inconsistent with accumula
 // the caller can decide how to recover. It is ObserveBudgeted with a nil
 // budget, which never takes the lossy fallback.
 func (r *Refiner) Observe(q query.Query, a tree.Tree) error {
-	_, err := r.ObserveBudgeted(q, a, nil, 0)
+	_, err := r.ObserveBudgeted(q, a, nil)
 	return err
 }
 

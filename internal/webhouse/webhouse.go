@@ -330,8 +330,8 @@ func (wh *Webhouse) Stats() Stats {
 // answer, so acquisition never fails on budget grounds — it merely
 // coarsens. The caller must hold r.mu for writing.
 func (wh *Webhouse) observeLocked(ctx context.Context, r *Repository, q query.Query, a tree.Tree) error {
-	lossy, err := r.foldLocked(q, a, func() *budget.B { return wh.newBudget(ctx) })
-	if lossy {
+	degraded, err := r.foldLocked(q, a, func() *budget.B { return wh.newBudget(ctx) })
+	if degraded {
 		wh.lossyFallbacks.Add(1)
 	}
 	return err
@@ -342,17 +342,18 @@ func (wh *Webhouse) observeLocked(ctx context.Context, r *Repository, q query.Qu
 // the source changed under us — it is folded into a fresh refiner for the
 // source type, which replaces the knowledge only when that fold succeeds.
 // On any error r is left as it was. Each fold runs under a budget from bud
-// (nil: exact). The caller must hold r.mu for writing.
-func (r *Repository) foldLocked(q query.Query, a tree.Tree, bud func() *budget.B) (lossy bool, err error) {
-	lossy, err = r.refiner.ObserveBudgeted(q, a, bud(), refine.DefaultShrinkTo)
+// (nil: exact); degraded reports that the fold that took effect went
+// through the lossy fallback. The caller must hold r.mu for writing.
+func (r *Repository) foldLocked(q query.Query, a tree.Tree, bud func() *budget.B) (degraded bool, err error) {
+	degraded, err = r.refiner.ObserveBudgeted(q, a, bud())
 	if !errors.Is(err, refine.ErrInconsistent) {
-		return lossy, err
+		return degraded, err
 	}
 	fresh := refine.NewRefiner(r.Source.Type.Alphabet(), r.Source.Type)
-	if lossy, err = fresh.ObserveBudgeted(q, a, bud(), refine.DefaultShrinkTo); err == nil {
+	if degraded, err = fresh.ObserveBudgeted(q, a, bud()); err == nil {
 		r.refiner = fresh
 	}
-	return lossy, err
+	return degraded, err
 }
 
 // Explore poses a ps-query to the source and folds the answer into the

@@ -238,6 +238,30 @@ func TestExploreRecoversFromSourceChange(t *testing.T) {
 	}
 }
 
+// TestLossyFallbacksCountsDegradedFolds: LossyFallbacks counts the folds
+// that went through the lossy fallback, not every later fold into the
+// chain that one of them made lossy.
+func TestLossyFallbacksCountsDegradedFolds(t *testing.T) {
+	ctx := context.Background()
+	wh, _ := newCatalogWebhouse(t)
+	wh.SetBudget(1)
+	if _, err := wh.Explore(ctx, "catalog", workload.Query1(200)); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := wh.Repo("catalog"); !r.refiner.Lossy() {
+		t.Fatal("a one-step budget did not degrade the fold")
+	}
+	wh.SetBudget(0)
+	for _, q := range []query.Query{workload.Query2(), workload.Query3(200), workload.Query4()} {
+		if _, err := wh.Explore(ctx, "catalog", q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := wh.Stats().LossyFallbacks; got != 1 {
+		t.Errorf("LossyFallbacks = %d after one degraded fold and three exact ones, want 1", got)
+	}
+}
+
 func TestObserveInconsistencyKeepsState(t *testing.T) {
 	// At the refiner level the inconsistent observation is rejected and the
 	// previous state preserved.
