@@ -159,7 +159,10 @@ func (iv Interval) String() string {
 
 // Set is a normalized union of intervals: sorted, pairwise disjoint, and not
 // adjacent (no two intervals whose union is itself an interval). The empty
-// Set is the empty subset of Q; Full() is all of Q.
+// Set is the empty subset of Q; Full() is all of Q. A Set is never mutated
+// once built, so sets may share their interval slices: Full returns one
+// shared slice, and Intersect returns an operand itself when the other is
+// full.
 type Set struct {
 	ivs []Interval
 }
@@ -167,8 +170,11 @@ type Set struct {
 // Empty returns the empty set.
 func Empty() Set { return Set{} }
 
+// full is the interval slice of every Full set.
+var full = []Interval{All()}
+
 // Full returns all of Q.
-func Full() Set { return Set{[]Interval{All()}} }
+func Full() Set { return Set{full} }
 
 // Of builds a normalized Set from arbitrary intervals (invalid/empty ones
 // are dropped, overlapping and adjacent ones merged).
@@ -274,8 +280,15 @@ func (s Set) Union(t Set) Set {
 	return Of(all...)
 }
 
-// Intersect returns s ∩ t.
+// Intersect returns s ∩ t. When one operand is full it returns the other
+// without copying.
 func (s Set) Intersect(t Set) Set {
+	switch {
+	case s.IsFull():
+		return t
+	case t.IsFull():
+		return s
+	}
 	var out []Interval
 	for _, a := range s.ivs {
 		for _, b := range t.ivs {

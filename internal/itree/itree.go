@@ -46,8 +46,9 @@ type T struct {
 
 	// memo is set by MarkTrimmed and marks the tree: it has no useless
 	// symbols, so TrimUseless may return it as is, and it is never mutated
-	// again, so verdicts about it can be stored on it (memo.go). Clone does
-	// not copy it: clones are mutated in place, which would make both stale.
+	// again, so verdicts about it, and its data tree, can be stored on it
+	// (memo.go). Clone does not copy it: clones are mutated in place, which
+	// would make both stale.
 	memo *memo
 }
 
@@ -295,8 +296,19 @@ func (it *T) DataNodeChildren() map[tree.NodeID][]tree.NodeID {
 
 // DataTree returns the tree T_d formed by the data nodes (the known prefix).
 // For reachable incomplete trees this is a prefix of every tree in rep(T).
-// Returns the empty tree when N is empty.
+// Returns the empty tree when N is empty. A tree marked by MarkTrimmed
+// builds its data tree once and returns that same tree to every caller, so
+// callers must treat the result as read-only.
 func (it *T) DataTree() tree.Tree {
+	if it.memo == nil {
+		return it.buildDataTree()
+	}
+	it.memo.dataOnce.Do(func() { it.memo.data = it.buildDataTree() })
+	return it.memo.data
+}
+
+// buildDataTree builds T_d afresh.
+func (it *T) buildDataTree() tree.Tree {
 	if len(it.Nodes) == 0 {
 		return tree.Empty()
 	}

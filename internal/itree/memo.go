@@ -1,10 +1,14 @@
 package itree
 
-import "sync"
+import (
+	"sync"
+
+	"incxml/internal/tree"
+)
 
 // MemoLimit bounds the memo of one marked tree, which is keyed by client
 // input: the verdicts and the answers stored on it together. Once the memo
-// holds MemoLimit entries it stops storing; lookups keep working and misses
+// holds MemoLimit values it stops storing; lookups keep working and misses
 // are computed, so a flood of distinct queries costs time, never unbounded
 // memory.
 const MemoLimit = 4096
@@ -19,20 +23,25 @@ const (
 	MemoPossiblyNonEmpty
 	MemoLocal
 	MemoExtended
+	memoKinds
 )
 
 // memo holds the values computed about one marked tree. Every reader
 // between two folds shares the same marked tree, so a value stored here is
 // shared by all of them and freed with the tree: no content fingerprint,
 // global table, generation or eviction is needed.
+//
+// The values of every kind stored under one key share one map entry, so a
+// query's key string is kept once per tree however many kinds are stored
+// under it.
 type memo struct {
 	mu sync.Mutex
-	m  map[memoKey]any
-}
+	m  map[string][memoKinds]any
+	n  int // values stored, bounded by MemoLimit
 
-type memoKey struct {
-	kind uint8
-	key  string
+	// data is the tree's data tree, built once on first use (DataTree).
+	dataOnce sync.Once
+	data     tree.Tree
 }
 
 // Recall returns the value of the given kind stored under key by Remember.
@@ -43,26 +52,32 @@ func (it *T) Recall(kind uint8, key string) (v any, ok bool) {
 		return nil, false
 	}
 	it.memo.mu.Lock()
-	v, ok = it.memo.m[memoKey{kind, key}]
+	v = it.memo.m[key][kind]
 	it.memo.mu.Unlock()
-	return v, ok
+	return v, v != nil
 }
 
-// Remember stores v of the given kind under key, so later Recalls on the
-// same tree return it. It is a no-op on an unmarked tree, whose content may
-// still change, and once the memo holds MemoLimit entries. The value must be
-// a function of the tree's content and the key, and is shared read-only by
-// every later Recall. Safe for concurrent use.
+// Remember stores v (not nil) of the given kind under key, so later Recalls
+// on the same tree return it. It is a no-op on an unmarked tree, whose
+// content may still change, and once the memo holds MemoLimit values. The
+// value must be a function of the tree's content and the key, and is shared
+// read-only by every later Recall. Safe for concurrent use.
 func (it *T) Remember(kind uint8, key string, v any) {
 	if it.memo == nil {
 		return
 	}
 	it.memo.mu.Lock()
+	defer it.memo.mu.Unlock()
+	if it.memo.n >= MemoLimit {
+		return
+	}
 	if it.memo.m == nil {
-		it.memo.m = make(map[memoKey]any)
+		it.memo.m = make(map[string][memoKinds]any)
 	}
-	if len(it.memo.m) < MemoLimit {
-		it.memo.m[memoKey{kind, key}] = v
+	vals := it.memo.m[key]
+	if vals[kind] == nil {
+		it.memo.n++
 	}
-	it.memo.mu.Unlock()
+	vals[kind] = v
+	it.memo.m[key] = vals
 }

@@ -77,3 +77,21 @@ func TestMemberCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatal("earlier verdict lost once the memo filled")
 	}
 }
+
+// TestDataTreeBuiltOncePerSnapshot: a marked tree builds its data tree once
+// and hands every caller the same one; an unmarked tree, a Clone included,
+// builds a fresh one per call.
+func TestDataTreeBuiltOncePerSnapshot(t *testing.T) {
+	it := example22()
+	if a, b := it.DataTree(), it.DataTree(); a.Root == b.Root || !a.Equal(b) {
+		t.Fatal("an unmarked tree must build an equal, fresh data tree per call")
+	}
+	snap := it.MarkTrimmed()
+	first := snap.DataTree()
+	if again := snap.DataTree(); again.Root != first.Root {
+		t.Fatal("a marked tree rebuilt its data tree")
+	}
+	if c := snap.Clone().DataTree(); c.Root == first.Root || !c.Equal(first) {
+		t.Fatal("a Clone must start without the snapshot's data tree")
+	}
+}

@@ -31,9 +31,12 @@ type AnswerEnvelope struct {
 	// Source is the source the answer is about; empty on scatter envelopes
 	// (the per-source breakdown lives in Scatter.Answers).
 	Source string `json:"source,omitempty"`
-	// Degraded reports anything less than an exact answer: a source outage
-	// softened to the Theorem 3.14 approximation, or any degraded shard in a
-	// scatter. Cause carries the reason when one is known.
+	// Degraded reports an answer served without what the route normally
+	// relies on: a source outage softened to the Theorem 3.14 approximation,
+	// an /explore answered from the knowledge alone during an outage
+	// (exact, since Corollary 3.15 certified the query, but nothing was
+	// acquired), or any degraded shard in a scatter. Cause carries the
+	// reason when one is known.
 	Degraded bool   `json:"degraded"`
 	Cause    string `json:"cause,omitempty"`
 	// Answer is the gathered answer document; nil on scatter envelopes
@@ -254,6 +257,9 @@ func entry(q query.Query, a any) (SourceEnvelope, error) {
 	switch a := a.(type) {
 	case tree.Tree: // an exploration returns the source's exact answer
 		doc, se.Completeness = a, completenessOf(certify.Exact(q, a))
+	case outageAnswer: // ... or, the source down, the certified local one
+		doc, se.Completeness = a.answer, completenessOf(certify.Exact(q, a.answer))
+		se.Degraded, se.Cause = true, a.cause.Error()
 	case *webhouse.LocalAnswer:
 		doc, se.Degraded, se.Local = a.Exact, a.BudgetExhausted, facetsOf(a)
 		se.Completeness = completenessOf(a.Certificate)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -189,5 +190,64 @@ func TestBlowupUnderBudgetIsTimely(t *testing.T) {
 	// bounded lossy fallback.
 	if elapsed > 3*time.Second {
 		t.Fatalf("budgeted request pinned for %v on a 150ms deadline", elapsed)
+	}
+}
+
+// TestExploreOutageServesCertified: while the source is down, /explore
+// answers a query its knowledge certifies fully answerable with the exact
+// answer q(data(T)), flagged degraded with the source error as its cause,
+// and acquires nothing; a query the knowledge does not certify still gets
+// the 503.
+func TestExploreOutageServesCertified(t *testing.T) {
+	s, err := New(Config{Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	decode := func(rec *httptest.ResponseRecorder) AnswerEnvelope {
+		t.Helper()
+		var env AnswerEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("decode %s: %v", rec.Body, err)
+		}
+		return env
+	}
+	rec := post(t, h, "/explore", catalogBody)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("warm-up explore: %d (%s)", rec.Code, rec.Body)
+	}
+	live := decode(rec)
+	g, err := s.Cluster().Owner("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	know, err := s.Cluster().Knowledge("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Injector("catalog").SetDown(true)
+	defer g.Injector("catalog").SetDown(false)
+
+	rec = post(t, h, "/explore", catalogBody)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("certified explore during the outage: %d, want 200 (%s)", rec.Code, rec.Body)
+	}
+	env := decode(rec)
+	if !env.Degraded || !strings.Contains(env.Cause, "unavailable") {
+		t.Errorf("outage answer not degraded with its cause: degraded=%v cause=%q", env.Degraded, env.Cause)
+	}
+	if env.Answer == nil || live.Answer == nil || env.Answer.XML != live.Answer.XML {
+		t.Errorf("outage answer %+v, want the live answer %+v", env.Answer, live.Answer)
+	}
+	if env.Completeness == nil || env.Completeness.Verdict != "full" {
+		t.Errorf("outage answer completeness %+v, want full", env.Completeness)
+	}
+	if got, _ := s.Cluster().Knowledge("catalog"); got != know {
+		t.Error("the outage answer changed the knowledge")
+	}
+
+	const uncertified = "catalog\n  product\n    name\n    price {>= 200}\n"
+	if rec := post(t, h, "/explore", uncertified); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("uncertified explore during the outage: %d, want 503 (%s)", rec.Code, rec.Body)
 	}
 }

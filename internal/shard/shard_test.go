@@ -279,7 +279,7 @@ func TestOneShardDownSoundness(t *testing.T) {
 				// approximation of the truth, and the possible-answer set
 				// has not excluded the truth.
 				assertSubsetOf(t, sa.Complete.Answer, truth, sa.Source)
-				if sa.Complete.Local == nil || !sa.Complete.Local.Possible.Member(truth) {
+				if sa.Complete.Local == nil || !sa.Complete.Possible.Member(truth) {
 					t.Errorf("round %d: %s: possible set excludes the true answer", round, sa.Source)
 				}
 			} else {

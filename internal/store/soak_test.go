@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"incxml/internal/obs"
+	"incxml/internal/query"
 	"incxml/internal/webhouse"
 	"incxml/internal/workload"
 )
@@ -23,7 +25,11 @@ import (
 //
 // Rounds alternate snapshot cadence (never / mid-script / automatic) and
 // budget configuration (unlimited / tiny, the latter forcing lossy folds
-// and hence full-state WAL records). Each round then proves the recovered
+// and hence full-state WAL records). A third of the explores re-pose a
+// query the source was already asked, so the script also journals
+// observations the webhouse does not fold (redundant ones, whose answer the
+// knowledge already certifies) and, after an update, certified queries
+// whose answer changed. Each round then proves the recovered
 // process is a working baseline: a second restart is idempotent, and
 // events appended after the recovery land on fresh sequence numbers and
 // survive a further restart.
@@ -62,11 +68,19 @@ func TestCrashRecoverySoak(t *testing.T) {
 	if testing.Short() {
 		rounds = 12
 	}
+	redundant := func() float64 {
+		return obs.Default().Snapshot()[`incxml_refine_observe_total{outcome="redundant"}`]
+	}
+	before := redundant()
 	for round := 0; round < rounds; round++ {
 		round := round
 		t.Run(fmt.Sprintf("round%03d", round), func(t *testing.T) {
 			runSoakRound(t, int64(round))
 		})
+	}
+	t.Logf("%v redundant observations were skipped, live or in replay", redundant()-before)
+	if redundant() == before {
+		t.Error("no round journaled a redundant observation")
 	}
 }
 
@@ -93,11 +107,18 @@ func runSoakRound(t *testing.T, seed int64) {
 	sizes := []int64{s.WALSize()}
 	rotIdx := 0
 	ctx := context.Background()
+	asked := map[string][]query.Query{}
 	for i := 1; i <= nEvents; i++ {
 		name := fmt.Sprintf("src%d", rng.Intn(soakSources))
 		switch op := rng.Intn(10); {
-		case op < 6: // explore
-			q := workload.RandomLinearQuery(workload.CatalogType(), rng.Int63(), 2+rng.Intn(2), 60)
+		case op < 6: // explore, re-posing an earlier query a third of the time
+			var q query.Query
+			if prev := asked[name]; len(prev) > 0 && rng.Intn(3) == 0 {
+				q = prev[rng.Intn(len(prev))]
+			} else {
+				q = workload.RandomLinearQuery(workload.CatalogType(), rng.Int63(), 2+rng.Intn(2), 60)
+				asked[name] = append(asked[name], q)
+			}
 			if _, err := wh.Explore(ctx, name, q); err != nil {
 				t.Fatalf("event %d: explore %s: %v", i, name, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"incxml/internal/query"
 	"incxml/internal/webhouse"
 	"incxml/internal/workload"
 )
@@ -603,5 +604,68 @@ func TestCorruptWALHeaderStartsFresh(t *testing.T) {
 	}
 	if _, err := os.Stat(walPath + ".corrupt"); err != nil {
 		t.Fatalf("damaged wal not set aside: %v", err)
+	}
+}
+
+// TestRedundantObservationRecovers re-poses answered queries, whose folds
+// the webhouse skips while still journaling them, and crashes: recovery
+// must replay the journal to the identical knowledge, observation count and
+// lossy flag, skipping the same folds. In the lossy round a one-step budget
+// degrades the first fold, so the chain journals full states instead of
+// observations from then on.
+func TestRedundantObservationRecovers(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget int64
+	}{{"exact", 0}, {"lossy", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			wh := newCatalogHouse(t)
+			s, _, err := OpenOrRecover(Options{Dir: dir, SnapEvery: -1, Logf: quietLogf(t)}, wh)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			ctx := context.Background()
+			explore := func(q query.Query) {
+				t.Helper()
+				if _, err := wh.Explore(ctx, "catalog", q); err != nil {
+					t.Fatalf("explore: %v", err)
+				}
+			}
+			wh.SetBudget(tc.budget)
+			explore(workload.Query1(200))
+			wh.SetBudget(0)
+			explore(workload.Query2())
+			if _, _, _, lossy, _ := wh.Export("catalog"); lossy != (tc.budget > 0) {
+				t.Fatalf("lossy = %v with budget %d", lossy, tc.budget)
+			}
+			know, err := wh.Knowledge("catalog")
+			if err != nil {
+				t.Fatal(err)
+			}
+			state := houseState(t, wh, "catalog")
+			explore(workload.Query2()) // redundant: answered just now
+			if got, _ := wh.Knowledge("catalog"); got != know || houseState(t, wh, "catalog") != state {
+				t.Fatal("re-posed queries were folded; the test needs redundant observations")
+			}
+			explore(workload.Query4())
+			want := houseState(t, wh, "catalog")
+			if err := s.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+
+			wh2 := newCatalogHouse(t)
+			s2, rec, err := OpenOrRecover(Options{Dir: dir, SnapEvery: -1, Logf: quietLogf(t)}, wh2)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer s2.Close()
+			if rec.ReplayedEvents != 4 {
+				t.Fatalf("replayed %d events, want 4 (%+v)", rec.ReplayedEvents, rec)
+			}
+			if got := houseState(t, wh2, "catalog"); got != want {
+				t.Fatalf("recovered state differs from pre-crash state:\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

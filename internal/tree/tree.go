@@ -280,16 +280,32 @@ func (t Tree) IsPrefixOf(u Tree, n map[NodeID]bool) bool {
 // all its ancestors are retained. Query answers are built this way
 // (the nodes in the image of some valuation, plus ancestors on the path from
 // the root).
+//
+// The result shares nodes with t: where the prefix keeps a node's whole
+// subtree, it holds t's node itself (t's root, when it keeps everything), and
+// only the nodes that lose a descendant are copied. Treat both as read-only
+// from then on; mutate a Clone.
 func (t Tree) PrefixOn(keep map[NodeID]bool) Tree {
 	var rec func(*Node) *Node
 	rec = func(n *Node) *Node {
 		var kids []*Node
-		for _, c := range n.Children {
-			if k := rec(c); k != nil {
+		whole := true // every child so far is kept whole
+		for i, c := range n.Children {
+			k := rec(c)
+			if whole && k == c {
+				continue
+			}
+			if whole {
+				kids, whole = append([]*Node(nil), n.Children[:i]...), false
+			}
+			if k != nil {
 				kids = append(kids, k)
 			}
 		}
-		if !keep[n.ID] && len(kids) == 0 {
+		switch {
+		case whole && (keep[n.ID] || len(n.Children) > 0):
+			return n
+		case !keep[n.ID] && len(kids) == 0:
 			return nil
 		}
 		return &Node{ID: n.ID, Label: n.Label, Value: n.Value, Children: kids}

@@ -438,3 +438,28 @@ func BenchmarkFreshID(b *testing.B) {
 		_ = FreshID("node")
 	}
 }
+
+// TestPrefixOnSharesWholeSubtrees: PrefixOn returns the input's own node
+// wherever it keeps the whole subtree, copies only the nodes that lose a
+// descendant, and leaves the input untouched.
+func TestPrefixOnSharesWholeSubtrees(t *testing.T) {
+	full := catalogAnswer()
+	before := full.CanonicalWithIDs()
+	if got := full.PrefixOn(full.IDs()); got.Root != full.Root {
+		t.Error("keeping every node did not return the input root")
+	}
+	// p1 and all its descendants, plus p2's name: p1 is shared, p2 and the
+	// root are copies.
+	keep := map[NodeID]bool{"p2.name": true}
+	Tree{Root: full.Root.Children[0]}.Walk(func(n *Node) { keep[n.ID] = true })
+	pre := full.PrefixOn(keep)
+	if pre.Root == full.Root || pre.Root.Children[0] != full.Root.Children[0] {
+		t.Error("PrefixOn did not share exactly the whole kept subtree")
+	}
+	if p2 := pre.Root.Children[1]; p2 == full.Root.Children[1] || len(p2.Children) != 1 {
+		t.Errorf("partly kept p2 = %v, want a copy with one child", p2)
+	}
+	if full.CanonicalWithIDs() != before {
+		t.Error("PrefixOn mutated its input")
+	}
+}

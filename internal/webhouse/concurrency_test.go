@@ -95,14 +95,27 @@ func TestAnswerCacheHitAndEviction(t *testing.T) {
 	}
 }
 
-// fullMemoSnapshot refolds Query1(200), which the caller has just folded
-// in: the repository gets a new knowledge snapshot representing the same
-// documents. It fills that snapshot's memo to itree.MemoLimit with filler
-// entries.
+// fullMemoSnapshot gives the repository a new knowledge snapshot that
+// represents the same documents as the current one, whose only observation
+// is Query1(200): it invalidates the knowledge and folds Query1(200) into
+// the pristine refiner again. That fold is informative, so it installs a
+// fresh snapshot (refolding Query1(200) into knowledge that already holds it
+// would be redundant and keep the old one). It fills the new snapshot's memo
+// to itree.MemoLimit with filler entries.
 func fullMemoSnapshot(t *testing.T, wh *Webhouse) *itree.T {
 	t.Helper()
+	before, err := wh.Knowledge("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wh.Invalidate("catalog"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := wh.Explore(context.Background(), "catalog", workload.Query1(200)); err != nil {
 		t.Fatal(err)
+	}
+	if know, _ := wh.Knowledge("catalog"); know == before {
+		t.Fatal("the fold kept the old knowledge snapshot")
 	}
 	know, err := wh.Knowledge("catalog")
 	if err != nil {
@@ -396,7 +409,7 @@ func TestMemoizedAnswersMatchTheirSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want[i].local, err = wh.computeLocal(ctx, know.Clone(), lq); err != nil {
+		if want[i].local, _, _, err = wh.computeLocal(ctx, know.Clone(), lq); err != nil {
 			t.Fatal(err)
 		}
 		if want[i].ext, err = wh.computeExtended(ctx, know.Clone(), eq); err != nil {

@@ -122,7 +122,7 @@ func TestServingSoundUnderTransientFaults(t *testing.T) {
 					if !errors.Is(ca.Cause, faulty.ErrUnavailable) {
 						t.Errorf("degraded without unavailability cause: %v", ca.Cause)
 					}
-					if ca.Local == nil || !ca.Local.Possible.Member(truth) {
+					if ca.Local == nil || !ca.Possible.Member(truth) {
 						t.Error("degraded answer excludes the true answer from the possible set")
 					}
 					assertSubsetOf(t, ca.Answer, truth, "degraded answer")
@@ -197,7 +197,7 @@ func TestAnswerCompleteDegradesOnOutageAndRecovers(t *testing.T) {
 		if !errors.Is(ca.Cause, faulty.ErrUnavailable) {
 			t.Errorf("cause does not wrap ErrUnavailable: %v", ca.Cause)
 		}
-		if ca.Local == nil || !ca.Local.Possible.Member(truth) {
+		if ca.Local == nil || !ca.Possible.Member(truth) {
 			t.Error("degraded answer excludes the true answer")
 		}
 		assertSubsetOf(t, ca.Answer, truth, "degraded answer")

@@ -344,7 +344,18 @@ func (wh *Webhouse) observeLocked(ctx context.Context, r *Repository, q query.Qu
 // On any error r is left as it was. Each fold runs under a budget from bud
 // (nil: exact); degraded reports that the fold that took effect went
 // through the lossy fallback. The caller must hold r.mu for writing.
+//
+// A redundant observation is not folded: when the knowledge snapshot
+// certifies q fully answerable and a is q(data(T)), every world of rep(T)
+// already answers a, so rep(Refine(T, q, a)) = rep(T) (Corollary 3.15) and
+// the refiner, its snapshot and the answers memoized on it are kept. The
+// verdict is the exact one, never a budgeted Unknown, so that live folds
+// and recovery's replay of the same journal skip the same observations.
 func (r *Repository) foldLocked(q query.Query, a tree.Tree, bud func() *budget.B) (degraded bool, err error) {
+	if r.redundantLocked(q, a) {
+		refine.CountRedundant()
+		return false, nil
+	}
 	degraded, err = r.refiner.ObserveBudgeted(q, a, bud())
 	if !errors.Is(err, refine.ErrInconsistent) {
 		return degraded, err
@@ -356,15 +367,30 @@ func (r *Repository) foldLocked(q query.Query, a tree.Tree, bud func() *budget.B
 	return degraded, err
 }
 
+// redundantLocked reports whether folding the answer a of q would leave
+// rep(T) unchanged: the snapshot's exact Corollary 3.15 verdict certifies q
+// and a equals q(data(T)). The verdict is memoized on the snapshot. A
+// refiner that has observed nothing yet is not checked: it knows no data to
+// certify an answer from. The caller must hold r.mu.
+func (r *Repository) redundantLocked(q query.Query, a tree.Tree) bool {
+	if r.refiner.Steps() == 0 {
+		return false
+	}
+	know := r.refiner.Reachable()
+	fully, err := answer.FullyAnswerableBudgeted(know, q, nil)
+	return err == nil && fully == budget.Yes && q.Eval(know.DataTree()).Equal(a)
+}
+
 // Explore poses a ps-query to the source and folds the answer into the
 // repository (the acquisition loop of Section 3.1). The source is reached
 // through the repository's client outside any repository lock, so a slow
 // source never blocks concurrent readers; the context's deadline bounds
-// the call, retries included. The fold replaces the knowledge snapshot, and
-// with it every answer memoized on the old one. When the source is
-// unavailable the returned error wraps faulty.ErrUnavailable and the
-// knowledge is left unchanged — acquisition, unlike AnswerComplete, has no
-// approximate fallback.
+// the call, retries included. An informative fold replaces the knowledge
+// snapshot, and with it every answer memoized on the old one; a redundant
+// one keeps both (foldLocked), and is journaled all the same. When the
+// source is unavailable the returned error wraps faulty.ErrUnavailable and
+// the knowledge is left unchanged — acquisition, unlike AnswerComplete, has
+// no approximate fallback.
 func (wh *Webhouse) Explore(ctx context.Context, source string, q query.Query) (tree.Tree, error) {
 	r, err := wh.Repo(source)
 	if err != nil {
@@ -438,20 +464,19 @@ func (wh *Webhouse) Update(source string, doc tree.Tree) error {
 	return nil
 }
 
-// LocalAnswer is the result of answering a query from local knowledge only.
-// Instances returned by AnswerLocally may be shared between callers; treat
-// them as read-only.
+// LocalAnswer is the result of answering a query from local knowledge only:
+// the exact answer on the data tree and the verdicts, which is all that is
+// memoized on the knowledge snapshot. The possible-answers tree q(T) behind
+// the verdicts is kept only by a degraded CompleteAnswer. Instances returned
+// by AnswerLocally may be shared between callers; treat them as read-only.
 type LocalAnswer struct {
 	// Fully reports whether the query was certified fully answerable
 	// (Corollary 3.15): Exact then equals q(T) for every possible world.
 	Fully bool
 	// Exact is the answer computed on the data tree (meaningful when Fully).
+	// It may share nodes with the knowledge snapshot's data tree
+	// (tree.Tree.PrefixOn): read-only.
 	Exact tree.Tree
-	// Possible is the incomplete tree q(T) describing all possible answers
-	// (Theorem 3.14). When PossibleLossy is set it was computed from a
-	// lossy-shrunk knowledge tree and over-approximates the possible
-	// answers (still sound as a set of candidates).
-	Possible *itree.T
 	// CertainlyNonEmpty and PossiblyNonEmpty are the Corollary 3.18
 	// modalities, collapsed to their sound boolean reading:
 	// CertainlyNonEmpty (and Fully) are true only on an exact or
@@ -469,10 +494,8 @@ type LocalAnswer struct {
 	CertainlyNonEmptyV budget.Tri
 	PossiblyNonEmptyV  budget.Tri
 	// Lossy reports that at least one facet was recovered through the
-	// Proposition 3.13 lossy-shrinking fallback. PossibleLossy flags the
-	// Possible tree specifically.
-	Lossy         bool
-	PossibleLossy bool
+	// Proposition 3.13 lossy-shrinking fallback.
+	Lossy bool
 	// BudgetExhausted reports that the request budget ran out while
 	// computing this answer (the answer is then never memoized).
 	BudgetExhausted bool
@@ -518,8 +541,10 @@ const fallbackSteps = 1 << 20
 // soundly through the Proposition 3.13 lossy-shrinking fallback: verdicts
 // that the rep-superset decides in the sound direction (Fully/
 // CertainlyNonEmpty Yes, PossiblyNonEmpty No) are kept exact, the rest
-// report Unknown.
-func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Query) (*LocalAnswer, error) {
+// report Unknown. Besides the answer it returns q(T), the tree of possible
+// answers (nil when none fit the budgets), and whether that tree came from
+// the lossy fallback, for the caller that keeps it (degrade).
+func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Query) (out *LocalAnswer, possible *itree.T, possibleLossy bool, err error) {
 	bud := wh.newBudget(ctx)
 	endStage := obs.FromContext(ctx).Stage("local")
 	defer func() {
@@ -527,20 +552,19 @@ func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Que
 		stepsUsed.Observe(used)
 		endStage(used)
 	}()
-	out := &LocalAnswer{}
+	out = &LocalAnswer{}
 	var f answer.Local
-	var err error
 	tasks := []func(){
 		func() { out.Exact = q.Eval(know.DataTree()) },
 		func() { f, err = answer.Facets(know, q, bud) },
 	}
 	if err := engine.Default().Each(ctx, len(tasks), func(i int) { tasks[i]() }); err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
-	out.Possible, out.FullyV, out.CertainlyNonEmptyV, out.PossiblyNonEmptyV = f.Possible, f.Fully, f.CertainlyNonEmpty, f.PossiblyNonEmpty
+	possible, out.FullyV, out.CertainlyNonEmptyV, out.PossiblyNonEmptyV = f.Possible, f.Fully, f.CertainlyNonEmpty, f.PossiblyNonEmpty
 	if err != nil {
 		if !errors.Is(err, budget.ErrExhausted) {
-			return nil, err
+			return nil, nil, false, err
 		}
 		wh.budgetExhaustions.Add(1)
 		out.BudgetExhausted = true
@@ -549,11 +573,13 @@ func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Que
 			// webhouse can shed work around: surface the context error so
 			// the serving layer maps it to a timeout response.
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, nil, false, err
 			}
-			return nil, bud.Err()
+			return nil, nil, false, bud.Err()
 		}
-		wh.fallbackLocal(know, q, out)
+		if p := wh.fallbackLocal(know, q, out); p != nil {
+			possible, possibleLossy = p, true
+		}
 	}
 	out.Fully = out.FullyV == budget.Yes
 	out.CertainlyNonEmpty = out.CertainlyNonEmptyV == budget.Yes
@@ -569,7 +595,7 @@ func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Que
 	endCert := obs.FromContext(ctx).Stage("certify")
 	out.Certificate = certify.Compute(know, q, budget.New(ctx, certifySteps(wh.effectiveSteps(ctx))))
 	endCert(0)
-	return out, nil
+	return out, possible, possibleLossy, nil
 }
 
 // certifySteps bounds one certificate computation: the configured request
@@ -591,9 +617,10 @@ func certifySteps(configured int64) int64 {
 //   - PossiblyNonEmpty(S) = no  ⇒ possibly-non-empty is no on T (∃ fails
 //     over the superset);
 //
-// and q(S) over-approximates the possible answers. Facets the fallback
-// cannot decide soundly stay Unknown.
-func (wh *Webhouse) fallbackLocal(know *itree.T, q query.Query, out *LocalAnswer) {
+// and q(S), which it returns when it fit the fallback's budget,
+// over-approximates the possible answers. Facets the fallback cannot decide
+// soundly stay Unknown.
+func (wh *Webhouse) fallbackLocal(know *itree.T, q query.Query, out *LocalAnswer) (possible *itree.T) {
 	shrunk := heuristics.LossyShrink(know, refine.DefaultShrinkTo)
 	fb, err := answer.Facets(shrunk, q, budget.New(context.Background(), fallbackSteps))
 	used := false
@@ -610,14 +637,14 @@ func (wh *Webhouse) fallbackLocal(know *itree.T, q query.Query, out *LocalAnswer
 		used = true
 	}
 	if err == nil {
-		out.Possible = fb.Possible
-		out.PossibleLossy = true
+		possible = fb.Possible
 		used = true
 	}
 	if used {
 		out.Lossy = true
 		wh.lossyFallbacks.Add(1)
 	}
+	return possible
 }
 
 // AnswerLocally answers q from the repository without contacting the
@@ -639,7 +666,7 @@ func (wh *Webhouse) AnswerLocally(ctx context.Context, source string, q query.Qu
 		cp := *v.(*LocalAnswer)
 		return &cp, nil
 	}
-	out, err := wh.computeLocal(ctx, know, q)
+	out, _, _, err := wh.computeLocal(ctx, know, q)
 	if err != nil {
 		return nil, err
 	}
@@ -655,9 +682,9 @@ func (wh *Webhouse) AnswerLocally(ctx context.Context, source string, q query.Qu
 // CompleteAnswer is the result of AnswerComplete. When the source was
 // reachable, Answer is the exact answer. When it was not, Degraded is set:
 // Answer is the query evaluated on the locally known data — a sound lower
-// approximation — and Local carries the full Theorem 3.14 picture
-// (possible-answers tree and modalities) computed from the same knowledge
-// snapshot, never from the memo.
+// approximation — and Local and Possible carry the full Theorem 3.14
+// picture (modalities and possible-answers tree) computed from the same
+// knowledge snapshot, never from the memo.
 type CompleteAnswer struct {
 	// Answer is the exact answer, or the known-data approximation when
 	// Degraded.
@@ -670,6 +697,13 @@ type CompleteAnswer struct {
 	Degraded bool
 	// Local is the Theorem 3.14 local answer backing a degraded result.
 	Local *LocalAnswer
+	// Possible is the incomplete tree q(T) describing all possible answers
+	// (Theorem 3.14) backing a degraded result; nil when it did not fit the
+	// budget. When PossibleLossy is set it was computed from a lossy-shrunk
+	// knowledge tree and over-approximates the possible answers (still
+	// sound as a set of candidates).
+	Possible      *itree.T
+	PossibleLossy bool
 	// Cause is the source-access error behind a degraded result (it wraps
 	// faulty.ErrUnavailable).
 	Cause error
@@ -684,19 +718,21 @@ type CompleteAnswer struct {
 // degrade falls back to the best locally-computable approximation after a
 // source failure, computing it fresh from the knowledge snapshot.
 func (wh *Webhouse) degrade(ctx context.Context, know *itree.T, q query.Query, attempted int, cause error) (*CompleteAnswer, error) {
-	la, err := wh.computeLocal(ctx, know, q)
+	la, possible, possibleLossy, err := wh.computeLocal(ctx, know, q)
 	if err != nil {
 		// Not even the local fallback fit in the deadline.
 		return nil, errors.Join(cause, err)
 	}
 	wh.degraded.Add(1)
 	return &CompleteAnswer{
-		Answer:       la.Exact,
-		LocalQueries: attempted,
-		Degraded:     true,
-		Local:        la,
-		Cause:        cause,
-		Certificate:  la.Certificate,
+		Answer:        la.Exact,
+		LocalQueries:  attempted,
+		Degraded:      true,
+		Local:         la,
+		Possible:      possible,
+		PossibleLossy: possibleLossy,
+		Cause:         cause,
+		Certificate:   la.Certificate,
 	}, nil
 }
 

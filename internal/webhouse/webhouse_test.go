@@ -353,7 +353,7 @@ func TestFailedRefoldKeepsKnowledge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := wh.computeLocal(ctx, know.Clone(), q)
+	want, _, _, err := wh.computeLocal(ctx, know.Clone(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
