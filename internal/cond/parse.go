@@ -191,11 +191,12 @@ func (c Cond) String() string {
 	if s.IsFull() {
 		return "true"
 	}
-	// Special-case "!= v": complement is a single point.
-	if comp := s.Complement(); comp.Size() == 1 {
-		if v, ok := comp.AsPoint(); ok {
-			return "!= " + v.String()
-		}
+	// Special-case "!= v": the normal form of Q \ {v} is the two open rays
+	// (−∞, v) and (v, +∞).
+	if ivs := s.Intervals(); len(ivs) == 2 && ivs[0].Lo.Inf < 0 && ivs[1].Hi.Inf > 0 &&
+		ivs[0].Hi.Inf == 0 && ivs[1].Lo.Inf == 0 && !ivs[0].Hi.Closed && !ivs[1].Lo.Closed &&
+		ivs[0].Hi.Value.Equal(ivs[1].Lo.Value) {
+		return "!= " + ivs[0].Hi.Value.String()
 	}
 	parts := make([]string, 0, s.Size())
 	for _, iv := range s.Intervals() {

@@ -201,18 +201,13 @@ func (req *request) render(a any, err error) (*AnswerEnvelope, error) {
 	env := &AnswerEnvelope{V: EnvelopeVersion, Route: req.route}
 	switch a := a.(type) {
 	case *shard.Scatter:
-		env.Degraded, env.Completeness = a.Degraded(), completenessOf(a.Certificate)
-		env.Scatter, err = scatterOf(req.query, a.Health, a.Answers, func(sa shard.SourceAnswer) (string, int, any, error) {
-			if sa.Complete != nil {
-				return sa.Source, sa.Shard, sa.Complete, sa.Err
-			}
-			return sa.Source, sa.Shard, sa.Local, sa.Err
-		})
-	case *shard.ExtScatter:
 		env.Degraded = a.Degraded()
-		env.Scatter, err = scatterOf(req.query, a.Health, a.Answers, func(ea shard.ExtAnswer) (string, int, any, error) {
-			return ea.Source, ea.Shard, ea.Ext, ea.Err
-		})
+		// Only ps-query scatters carry a merged certificate (certify.Merge
+		// never returns nil); an extended scatter has none to render.
+		if a.Certificate != nil {
+			env.Completeness = completenessOf(a.Certificate)
+		}
+		env.Scatter, err = scatterOf(req.query, a)
 	case decision:
 		env.Degraded = !a.verdict.Known()
 		env.Extension = &ExtensionInfo{Class: a.kind, Tractable: true, Decision: a.verdict.String(), BudgetExhausted: env.Degraded}
@@ -228,21 +223,28 @@ func (req *request) render(a any, err error) (*AnswerEnvelope, error) {
 	return env, nil
 }
 
-// scatterOf renders a scatter's shard health and per-source answers; pick
-// splits one answer into its source, shard, domain answer and hard failure.
-// Each answer goes through entry, the renderer of the single-source routes.
-func scatterOf[A any](q query.Query, h shard.Health, answers []A, pick func(A) (string, int, any, error)) (*ScatterInfo, error) {
-	info := &ScatterInfo{Shards: h.Shards, CompleteShards: h.CompleteShards, DegradedShards: h.DegradedShards,
-		Answers: make([]SourceEnvelope, 0, len(answers))}
-	for _, x := range answers {
-		source, sh, a, err := pick(x)
+// scatterOf renders a scatter's shard health and per-source answers, each
+// through entry, the renderer of the single-source routes.
+func scatterOf(q query.Query, s *shard.Scatter) (*ScatterInfo, error) {
+	info := &ScatterInfo{Shards: s.Shards, CompleteShards: s.CompleteShards, DegradedShards: s.DegradedShards,
+		Answers: make([]SourceEnvelope, 0, len(s.Answers))}
+	for _, sa := range s.Answers {
 		var se SourceEnvelope
+		var err error
+		switch {
+		case sa.Err != nil:
+			se = SourceEnvelope{Degraded: true, Error: sa.Err.Error(), Completeness: completenessOf(nil)}
+		case sa.Complete != nil:
+			se, err = entry(q, sa.Complete)
+		case sa.Ext != nil:
+			se, err = entry(q, sa.Ext)
+		default:
+			se, err = entry(q, sa.Local)
+		}
 		if err != nil {
-			se = SourceEnvelope{Degraded: true, Error: err.Error(), Completeness: completenessOf(nil)}
-		} else if se, err = entry(q, a); err != nil {
 			return nil, err
 		}
-		se.Source, se.Shard = source, sh
+		se.Source, se.Shard = sa.Source, sa.Shard
 		info.Answers = append(info.Answers, se)
 	}
 	return info, nil

@@ -226,7 +226,9 @@ func TestExtReductionRoute(t *testing.T) {
 }
 
 // TestScatterExtRoute: /scatter/ext answers every source with per-source
-// extension sections and per-shard health; v0 requests are rejected.
+// extension sections, shards and per-shard health, and carries no
+// scatter-wide certificate, while /scatter/local and /scatter/complete keep
+// their merged one; v0 requests are rejected.
 func TestScatterExtRoute(t *testing.T) {
 	s, err := New(Config{Timeout: 5 * time.Second, Shards: 3, ExtraSources: 4})
 	if err != nil {
@@ -244,6 +246,9 @@ func TestScatterExtRoute(t *testing.T) {
 	if m["route"] != "scatter_ext" {
 		t.Fatalf("route %v", m["route"])
 	}
+	if _, ok := m["completeness"]; ok {
+		t.Errorf("extended scatter carries a scatter-wide certificate: %v", m["completeness"])
+	}
 	answers, _ := dig(m, "scatter", "answers").([]any)
 	if len(answers) != 6 { // catalog + blowup + 4 extras
 		t.Fatalf("scatter answered %d sources, want 6", len(answers))
@@ -255,6 +260,23 @@ func TestScatterExtRoute(t *testing.T) {
 		}
 		if dig(am, "extension", "class") != "branching" {
 			t.Errorf("%v: missing extension section", am["source"])
+		}
+		if _, ok := am["shard"].(float64); !ok {
+			t.Errorf("%v: missing shard", am["source"])
+		}
+	}
+	for _, path := range []string{"/scatter/local", "/scatter/complete"} {
+		rec := post(t, h, path, query4Body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
+		}
+		var m map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		perSource, _ := dig(m, "completeness", "perSource").(map[string]any)
+		if dig(m, "completeness", "verdict") == nil || len(perSource) != 6 {
+			t.Errorf("%s: merged certificate missing: %v", path, m["completeness"])
 		}
 	}
 

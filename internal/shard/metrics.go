@@ -7,16 +7,15 @@ import (
 )
 
 // ExposeMetrics registers the cluster's serving counters on reg as
-// func-backed, scrape-time views. The webhouse-level families keep the
-// exact names webhouse.ExposeMetrics uses — aggregated across shards, so
-// dashboards built against a single webhouse carry over unchanged — and a
-// set of `incxml_shard_*` families breaks the same signals down per shard.
+// func-backed, scrape-time views. The webhouse-level families
+// (`incxml_webhouse_*`, `incxml_source_*`) sum every shard's webhouse
+// counters, and a set of `incxml_shard_*` families breaks the same signals
+// down per shard.
 // Per-source children (breaker state) come straight from each shard's
 // webhouse; source sets are disjoint, so the labeled children never
 // collide. Expose after registering the fleet.
 func (c *Cluster) ExposeMetrics(reg *obs.Registry) {
-	// Cluster-wide totals: same family names and help as the single-
-	// webhouse exposition, summed over shards at scrape time.
+	// Cluster-wide totals, summed over shards at scrape time.
 	reg.CounterFunc("incxml_webhouse_answer_cache_hits_total",
 		"Local/extended answers served from the answers memoized on the knowledge snapshots.",
 		func() uint64 { return c.Stats().AnswerCacheHits })
@@ -65,9 +64,9 @@ func (c *Cluster) ExposeMetrics(reg *obs.Registry) {
 	brk := reg.NewGaugeVec("incxml_shard_breakers_open",
 		"Sources of a shard whose circuit breaker is open or half-open.", "shard")
 	reqs := reg.NewCounterVec("incxml_shard_requests_total",
-		"Source operations routed through a shard.", "shard")
+		"Explore, local, complete and extended operations routed to a shard's sources, scatter sub-requests included.", "shard")
 	degr := reg.NewCounterVec("incxml_shard_degraded_total",
-		"Shard-routed operations that degraded or failed.", "shard")
+		"Shard-routed operations that failed (a failed explore included) or answered less than exactly.", "shard")
 	for _, g := range c.groups {
 		g := g
 		label := strconv.Itoa(g.id)

@@ -18,6 +18,7 @@ import (
 	"incxml/internal/budget"
 	"incxml/internal/certify"
 	"incxml/internal/engine"
+	"incxml/internal/extquery"
 	"incxml/internal/faulty"
 	"incxml/internal/itree"
 	"incxml/internal/query"
@@ -186,11 +187,14 @@ func (g *Group) BreakersOpen() int {
 	return n
 }
 
-// Requests reports the source operations routed through the shard.
+// Requests reports the source operations routed through the shard: every
+// Explore, AnswerLocally, AnswerComplete and AnswerExtended on one of its
+// sources, scatter sub-requests included.
 func (g *Group) Requests() uint64 { return g.requests.Load() }
 
-// Degraded reports how many of the shard's source operations fell back to
-// the flagged local approximation (or failed outright).
+// Degraded reports how many of the shard's source operations failed (a
+// failed exploration included) or answered less than exactly: a flagged
+// local approximation or a budget-truncated local or extended answer.
 func (g *Group) Degraded() uint64 { return g.degraded.Load() }
 
 // mergeFallbackSteps bounds the certificate-merge re-verification when the
@@ -208,7 +212,9 @@ type Cluster struct {
 	// The scatter is latency-bound — workers spend their time blocked on
 	// simulated source waits — so sizing it by GOMAXPROCS (as
 	// engine.Default() is) would serialize the fan-out on small machines and forfeit
-	// exactly the overlap the scatter exists to provide.
+	// exactly the overlap the scatter exists to provide. Tests swap in a
+	// one-worker pool for the sequential reference: Pool.Each with one
+	// worker visits the shards in order and stops at a dead context.
 	scatterPool *engine.Pool
 
 	groups []*Group
@@ -333,13 +339,64 @@ func (c *Cluster) Sources() []string {
 	return out
 }
 
-// Explore routes an acquisition query to the source's shard.
-func (c *Cluster) Explore(ctx context.Context, source string, q query.Query) (tree.Tree, error) {
+// op is one source operation as the group wrapper runs it: it asks the
+// shard's webhouse about sa.Source and stores the answer in sa.
+type op func(wh *webhouse.Webhouse, sa *SourceAnswer) error
+
+// run is the one wrapper every routed source operation goes through, on a
+// single-source route or as a scatter's sub-request: it counts the
+// operation in Requests and, when it fails or answers less than exactly, in
+// Degraded.
+func (g *Group) run(source string, o op) SourceAnswer {
+	g.requests.Add(1)
+	sa := SourceAnswer{Source: source, Shard: g.id}
+	sa.Err = o(g.wh, &sa)
+	if sa.Degraded() {
+		g.degraded.Add(1)
+	}
+	return sa
+}
+
+// route runs o on the shard owning source.
+func (c *Cluster) route(source string, o op) (SourceAnswer, error) {
 	g, err := c.Owner(source)
 	if err != nil {
-		return tree.Tree{}, err
+		return SourceAnswer{}, err
 	}
-	return g.wh.Explore(ctx, source, q)
+	sa := g.run(source, o)
+	return sa, sa.Err
+}
+
+func localOp(ctx context.Context, q query.Query) op {
+	return func(wh *webhouse.Webhouse, sa *SourceAnswer) (err error) {
+		sa.Local, err = wh.AnswerLocally(ctx, sa.Source, q)
+		return err
+	}
+}
+
+func completeOp(ctx context.Context, q query.Query) op {
+	return func(wh *webhouse.Webhouse, sa *SourceAnswer) (err error) {
+		sa.Complete, err = wh.AnswerComplete(ctx, sa.Source, q)
+		return err
+	}
+}
+
+func extOp(ctx context.Context, q extquery.Query) op {
+	return func(wh *webhouse.Webhouse, sa *SourceAnswer) (err error) {
+		sa.Ext, err = wh.AnswerExtended(ctx, sa.Source, q)
+		return err
+	}
+}
+
+// Explore routes an acquisition query to the source's shard; a failed
+// exploration counts as degraded.
+func (c *Cluster) Explore(ctx context.Context, source string, q query.Query) (tree.Tree, error) {
+	var a tree.Tree
+	_, err := c.route(source, func(wh *webhouse.Webhouse, _ *SourceAnswer) (err error) {
+		a, err = wh.Explore(ctx, source, q)
+		return err
+	})
+	return a, err
 }
 
 // Knowledge routes to the source's shard (see webhouse.Knowledge).
@@ -371,50 +428,37 @@ func (c *Cluster) Update(source string, doc tree.Tree) error {
 
 // AnswerLocally routes a local-knowledge query to the source's shard.
 func (c *Cluster) AnswerLocally(ctx context.Context, source string, q query.Query) (*webhouse.LocalAnswer, error) {
-	g, err := c.Owner(source)
-	if err != nil {
-		return nil, err
-	}
-	return g.wh.AnswerLocally(ctx, source, q)
+	sa, err := c.route(source, localOp(ctx, q))
+	return sa.Local, err
 }
 
 // AnswerComplete routes a complete-answer request to the source's shard.
 func (c *Cluster) AnswerComplete(ctx context.Context, source string, q query.Query) (*webhouse.CompleteAnswer, error) {
-	g, err := c.Owner(source)
-	if err != nil {
-		return nil, err
-	}
-	return g.completeOne(ctx, source, q)
+	sa, err := c.route(source, completeOp(ctx, q))
+	return sa.Complete, err
 }
 
-// completeOne is AnswerComplete on one shard with the per-shard counters.
-func (g *Group) completeOne(ctx context.Context, source string, q query.Query) (*webhouse.CompleteAnswer, error) {
-	g.requests.Add(1)
-	ca, err := g.wh.AnswerComplete(ctx, source, q)
-	if err != nil || ca.Degraded {
-		g.degraded.Add(1)
-	}
-	return ca, err
+// AnswerExtended routes a Section 4 extended query to the source's shard.
+// Extension queries inherit the shard's fault domain exactly like local
+// answers: a degraded (budget-exhausted) answer counts against the shard's
+// degradation counters.
+func (c *Cluster) AnswerExtended(ctx context.Context, source string, q extquery.Query) (*webhouse.ExtendedAnswer, error) {
+	sa, err := c.route(source, extOp(ctx, q))
+	return sa.Ext, err
 }
 
-// localOne is AnswerLocally on one shard with the per-shard counters.
-func (g *Group) localOne(ctx context.Context, source string, q query.Query) (*webhouse.LocalAnswer, error) {
-	g.requests.Add(1)
-	la, err := g.wh.AnswerLocally(ctx, source, q)
-	if err != nil || la.BudgetExhausted {
-		g.degraded.Add(1)
-	}
-	return la, err
-}
-
-// SourceAnswer is one source's contribution to a scatter.
+// SourceAnswer is one source's answer to a routed operation: the answer
+// the operation sets, or Err.
 type SourceAnswer struct {
 	// Source names the source and Shard the group that answered for it.
 	Source string
 	Shard  int
-	// Complete is set by ScatterComplete, Local by ScatterLocal.
-	Complete *webhouse.CompleteAnswer
+	// The operation sets one answer: Local for AnswerLocally and
+	// ScatterLocal, Complete for AnswerComplete and ScatterComplete, Ext
+	// for AnswerExtended and ScatterExtended.
 	Local    *webhouse.LocalAnswer
+	Complete *webhouse.CompleteAnswer
+	Ext      *webhouse.ExtendedAnswer
 	// Err is a hard per-source failure (context expiry, solver error).
 	// Source outages do not land here — they degrade inside Complete.
 	Err error
@@ -422,14 +466,16 @@ type SourceAnswer struct {
 
 // Certificate returns the answer's completeness certificate: the complete
 // answer's (which is the degraded local answer's when the source was down),
-// the local answer's, or nil for a hard-failed source — a nil certificate
-// certifies nothing, which is exactly what Merge assumes for it.
+// the local or extended answer's, or nil for a hard-failed source — a nil
+// certificate certifies nothing, which is exactly what Merge assumes for it.
 func (sa SourceAnswer) Certificate() *certify.Certificate {
 	switch {
 	case sa.Complete != nil:
 		return sa.Complete.Certificate
 	case sa.Local != nil:
 		return sa.Local.Certificate
+	case sa.Ext != nil:
+		return sa.Ext.Certificate
 	default:
 		return nil
 	}
@@ -437,18 +483,12 @@ func (sa SourceAnswer) Certificate() *certify.Certificate {
 
 // Degraded reports whether this answer is anything less than exact: a hard
 // failure, a flagged Theorem 3.14 approximation, or a budget-truncated
-// local answer.
+// local or extended answer.
 func (sa SourceAnswer) Degraded() bool {
-	if sa.Err != nil {
-		return true
-	}
-	if sa.Complete != nil && sa.Complete.Degraded {
-		return true
-	}
-	if sa.Local != nil && sa.Local.BudgetExhausted {
-		return true
-	}
-	return false
+	return sa.Err != nil ||
+		sa.Complete != nil && sa.Complete.Degraded ||
+		sa.Local != nil && sa.Local.BudgetExhausted ||
+		sa.Ext != nil && sa.Ext.BudgetExhausted
 }
 
 // Health is the per-shard classification every scatter reports to clients.
@@ -471,11 +511,15 @@ func (h Health) Degraded() bool { return len(h.DegradedShards) > 0 }
 type Scatter struct {
 	Answers []SourceAnswer
 	Health
-	// Certificate is the scatter-wide completeness certificate: the
-	// intersection of the per-source certified sub-queries (certify.Merge),
-	// with each source's own ratio in PerSource. A hard-failed source — a
-	// dead shard the degradation could not soften — contributes nothing, so
-	// its atoms drop out of the complete sub-query.
+	// Certificate is the scatter-wide completeness certificate of
+	// ScatterLocal and ScatterComplete: the intersection of the per-source
+	// certified sub-queries (certify.Merge), with each source's own ratio in
+	// PerSource. A hard-failed source — a dead shard the degradation could
+	// not soften — contributes nothing, so its atoms drop out of the
+	// complete sub-query. ScatterExtended leaves it nil: extended languages
+	// are not a strong representation system (Section 4), so per-source
+	// certificates (present when Corollary 3.15 applied through a covering
+	// ps-query) do not intersect meaningfully.
 	Certificate *certify.Certificate
 }
 
@@ -494,31 +538,28 @@ func (s *Scatter) ByName(source string) *SourceAnswer {
 // its own sources to the flagged local approximation and never fails the
 // scatter; only a dead context or a solver error aborts the whole call.
 func (c *Cluster) ScatterComplete(ctx context.Context, q query.Query) (*Scatter, error) {
-	return c.scatter(ctx, q, false, true)
+	return c.scatterCertified(ctx, q, completeOp(ctx, q))
 }
 
 // ScatterLocal answers q from local knowledge only, on every registered
 // source, parallel across shards. No source is contacted.
 func (c *Cluster) ScatterLocal(ctx context.Context, q query.Query) (*Scatter, error) {
-	return c.scatter(ctx, q, true, true)
+	return c.scatterCertified(ctx, q, localOp(ctx, q))
 }
 
-func (c *Cluster) scatter(ctx context.Context, q query.Query, local, parallel bool) (*Scatter, error) {
-	answers, health, err := fanOut(ctx, c, parallel, func(g *Group, src string) SourceAnswer {
-		sa := SourceAnswer{Source: src, Shard: g.id, Err: ctx.Err()}
-		switch {
-		case sa.Err != nil:
-		case local:
-			sa.Local, sa.Err = g.localOne(ctx, src, q)
-		default:
-			sa.Complete, sa.Err = g.completeOne(ctx, src, q)
-		}
-		return sa
-	})
+// ScatterExtended evaluates an extended query on every registered source
+// through the same fan-out core as ScatterLocal: only a dead context aborts
+// the whole call, per-source budget exhaustion degrades that source's shard.
+func (c *Cluster) ScatterExtended(ctx context.Context, q extquery.Query) (*Scatter, error) {
+	return c.fanOut(ctx, extOp(ctx, q))
+}
+
+// scatterCertified is fanOut plus the scatter-wide certificate of q.
+func (c *Cluster) scatterCertified(ctx context.Context, q query.Query, o op) (*Scatter, error) {
+	s, err := c.fanOut(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	s := &Scatter{Answers: answers, Health: health}
 	// Merge the per-source certificates into the scatter-wide one. The merge
 	// re-verifies the intersected sub-query against each source's knowledge
 	// snapshot under its own bounded budget (the configured per-request
@@ -528,10 +569,8 @@ func (c *Cluster) scatter(ctx context.Context, q query.Query, local, parallel bo
 	knows := make(map[string]*itree.T, len(s.Answers))
 	for _, sa := range s.Answers {
 		perSource[sa.Source] = sa.Certificate()
-		if g, err := c.Owner(sa.Source); err == nil {
-			if know, err := g.Webhouse().Knowledge(sa.Source); err == nil {
-				knows[sa.Source] = know
-			}
+		if know, err := c.Knowledge(sa.Source); err == nil {
+			knows[sa.Source] = know
 		}
 	}
 	steps := c.cfg.Budget
@@ -542,23 +581,15 @@ func (c *Cluster) scatter(ctx context.Context, q query.Query, local, parallel bo
 	return s, nil
 }
 
-// scatterAnswer is what the fan-out core needs of a per-source answer.
-type scatterAnswer interface {
-	Degraded() bool
-	source() string
-}
-
-func (sa SourceAnswer) source() string { return sa.Source }
-
 // fanOut is the scatter core every cluster-wide query shares. It snapshots
 // the per-shard source lists up front (sources registered mid-scatter are
-// not part of the plan), answers each source with one — parallel across
-// shards on the scatter pool when parallel is set, always sequential within
-// a shard — classifies each shard, sorts the answers by source name and
+// not part of the plan), runs o on each source through its group's wrapper
+// — parallel across shards on the scatter pool, always sequential within a
+// shard — classifies each shard, sorts the answers by source name and
 // counts the scatter. Only a dead context fails the whole call.
-func fanOut[A scatterAnswer](ctx context.Context, c *Cluster, parallel bool, one func(g *Group, src string) A) ([]A, Health, error) {
+func (c *Cluster) fanOut(ctx context.Context, o op) (*Scatter, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, Health{}, err
+		return nil, err
 	}
 	var groups []*Group
 	var plan [][]string
@@ -567,31 +598,25 @@ func fanOut[A scatterAnswer](ctx context.Context, c *Cluster, parallel bool, one
 			groups, plan = append(groups, g), append(plan, srcs)
 		}
 	}
-	results := make([][]A, len(plan))
-	run := func(i int) {
-		out := make([]A, 0, len(plan[i]))
+	results := make([][]SourceAnswer, len(plan))
+	// Pool.Each is a barrier; a non-nil return means the context died and at
+	// least one shard was never visited — the scatter is incomplete and must
+	// error rather than report a partial cluster.
+	err := c.scatterPool.Each(ctx, len(plan), func(i int) {
+		out := make([]SourceAnswer, 0, len(plan[i]))
 		for _, src := range plan[i] {
-			out = append(out, one(groups[i], src))
+			if err := ctx.Err(); err != nil {
+				out = append(out, SourceAnswer{Source: src, Shard: groups[i].id, Err: err})
+				continue
+			}
+			out = append(out, groups[i].run(src, o))
 		}
 		results[i] = out
+	})
+	if err != nil {
+		return nil, err
 	}
-	if parallel {
-		// Pool.Each is a barrier; a non-nil return means the context died
-		// and at least one shard was never visited — the scatter is
-		// incomplete and must error rather than report a partial cluster.
-		if err := c.scatterPool.Each(ctx, len(plan), run); err != nil {
-			return nil, Health{}, err
-		}
-	} else {
-		for i := range plan {
-			if err := ctx.Err(); err != nil {
-				return nil, Health{}, err
-			}
-			run(i)
-		}
-	}
-	h := Health{Shards: c.Shards()}
-	var answers []A
+	s := &Scatter{Health: Health{Shards: c.Shards()}}
 	for i, g := range groups {
 		shardOK := true
 		for _, a := range results[i] {
@@ -600,18 +625,18 @@ func fanOut[A scatterAnswer](ctx context.Context, c *Cluster, parallel bool, one
 			}
 		}
 		if shardOK {
-			h.CompleteShards = append(h.CompleteShards, g.id)
+			s.CompleteShards = append(s.CompleteShards, g.id)
 		} else {
-			h.DegradedShards = append(h.DegradedShards, g.id)
+			s.DegradedShards = append(s.DegradedShards, g.id)
 		}
-		answers = append(answers, results[i]...)
+		s.Answers = append(s.Answers, results[i]...)
 	}
-	sort.Slice(answers, func(i, j int) bool { return answers[i].source() < answers[j].source() })
+	sort.Slice(s.Answers, func(i, j int) bool { return s.Answers[i].Source < s.Answers[j].Source })
 	c.scatters.Add(1)
-	if h.Degraded() {
+	if s.Degraded() {
 		c.scatterDegraded.Add(1)
 	}
-	return answers, h, nil
+	return s, nil
 }
 
 // Scatters reports the number of scatters run and how many of them had at

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"incxml/internal/engine"
 	"incxml/internal/faulty"
 	"incxml/internal/itree"
 	"incxml/internal/tree"
@@ -201,12 +202,13 @@ func TestScatterDifferentialParallelVsSeq(t *testing.T) {
 	}
 	cp, _ := build()
 	cs, _ := build()
+	cs.scatterPool = engine.NewPool(1) // the sequential reference
 	q := workload.Query4()
 	sp, err := cp.ScatterComplete(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := cs.scatter(context.Background(), q, false, false)
+	ss, err := cs.ScatterComplete(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,6 +320,39 @@ func TestOneShardDownSoundness(t *testing.T) {
 	}
 }
 
+// TestRoutedOperationsCountPerShard: the single-source explore and local
+// routes move the owning shard's counters like every other routed
+// operation, and a failed exploration counts as degraded.
+func TestRoutedOperationsCountPerShard(t *testing.T) {
+	c, _ := fixture(t, Config{Shards: 2, Retry: fastRetry}, 4)
+	ctx := context.Background()
+	name := c.Sources()[0]
+	g, err := c.Owner(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, requests, degraded uint64) {
+		t.Helper()
+		if g.Requests() != requests || g.Degraded() != degraded {
+			t.Errorf("after %s: requests/degraded = %d/%d, want %d/%d",
+				what, g.Requests(), g.Degraded(), requests, degraded)
+		}
+	}
+	if _, err := c.Explore(ctx, name, workload.Query1(200)); err != nil {
+		t.Fatal(err)
+	}
+	check("explore", 1, 0)
+	if _, err := c.AnswerLocally(ctx, name, workload.Query4()); err != nil {
+		t.Fatal(err)
+	}
+	check("local", 2, 0)
+	g.SetDown(true)
+	if _, err := c.Explore(ctx, name, workload.Query4()); !errors.Is(err, faulty.ErrUnavailable) {
+		t.Fatalf("explore on a down shard: %v, want ErrUnavailable", err)
+	}
+	check("failed explore", 3, 1)
+}
+
 // TestScatterExpiredContext: a dead context refuses the scatter instead of
 // reporting a partial cluster.
 func TestScatterExpiredContext(t *testing.T) {
@@ -416,7 +451,7 @@ func TestScatterSharesKnowledgeSnapshot(t *testing.T) {
 
 // TestE22ScatterSmoke is the E22 experiment in miniature: with injected
 // per-call source latency, the parallel scatter across 4 shards must beat
-// the sequential reference (scatter with parallel unset) wall-clock on the
+// the sequential reference (a one-worker scatter pool) wall-clock on the
 // same cluster shape. Kept loose (strictly faster, no factor) so CI load
 // cannot flake it; BenchmarkE22 below measures the full 1/2/4-shard curve.
 func TestE22ScatterSmoke(t *testing.T) {
@@ -435,6 +470,7 @@ func TestE22ScatterSmoke(t *testing.T) {
 		return c
 	}
 	cSeq, cPar := build(), build()
+	cSeq.scatterPool = engine.NewPool(1) // the sequential reference
 	// The timing claim needs the ring to have actually spread the sources;
 	// with everything on one shard parallel == sequential.
 	maxLoad := 0
@@ -448,7 +484,7 @@ func TestE22ScatterSmoke(t *testing.T) {
 	}
 	q := workload.Query4()
 	t0 := time.Now()
-	ss, err := cSeq.scatter(context.Background(), q, false, false)
+	ss, err := cSeq.ScatterComplete(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,6 +527,9 @@ func BenchmarkE22(b *testing.B) {
 	// run times b.N completions; sources in down keep their pre-outage
 	// knowledge, since the reset cannot reach them.
 	run := func(b *testing.B, c *Cluster, parallel bool, down map[string]bool) {
+		if !parallel {
+			c.scatterPool = engine.NewPool(1) // the sequential reference
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -506,7 +545,7 @@ func BenchmarkE22(b *testing.B) {
 				}
 			}
 			b.StartTimer()
-			sc, err := c.scatter(ctx, q, false, parallel)
+			sc, err := c.ScatterComplete(ctx, q)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package webhouse
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -117,28 +116,9 @@ func extKey(q extquery.Query) string {
 // exhaustion surfaces as an error (the serving layer maps it to a timeout);
 // step exhaustion degrades soundly to an Unknown-verdict answer.
 func (wh *Webhouse) AnswerExtended(ctx context.Context, source string, q extquery.Query) (*ExtendedAnswer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r, err := wh.Repo(source)
-	if err != nil {
-		return nil, err
-	}
-	key := extKey(q)
-	know := r.snapshot()
-	if v, ok := wh.recall(know, itree.MemoExtended, key); ok {
-		cp := *v.(*ExtendedAnswer)
-		return &cp, nil
-	}
-	out, err := wh.computeExtended(ctx, know, q)
-	if err != nil {
-		return nil, err
-	}
-	if !out.BudgetExhausted {
-		know.Remember(itree.MemoExtended, key, out)
-	}
-	cp := *out
-	return &cp, nil
+	return memoized(ctx, wh, source, itree.MemoExtended, extKey(q), func(know *itree.T) (*ExtendedAnswer, error) {
+		return wh.computeExtended(ctx, know, q)
+	})
 }
 
 // computeExtended answers q on know under the webhouse's per-request budget
@@ -156,15 +136,8 @@ func (wh *Webhouse) computeExtended(ctx context.Context, know *itree.T, q extque
 	var err error
 	out.Known, err = q.AnswerBudgeted(know.DataTree(), bud)
 	if err != nil {
-		if !errors.Is(err, budget.ErrExhausted) {
+		if err := wh.exhaustion(ctx, bud, err); err != nil {
 			return nil, err
-		}
-		wh.budgetExhaustions.Add(1)
-		if bud.ExhaustedCause() == budget.CauseDeadline {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, bud.Err()
 		}
 		// Step exhaustion: degrade soundly. The partial valuation set was
 		// discarded (it would under-report); serve an explicitly degraded
@@ -195,18 +168,9 @@ func (wh *Webhouse) certifyExtended(ctx context.Context, know *itree.T, q extque
 	}
 	fully, err := answer.FullyAnswerableBudgeted(know, cover, bud)
 	if err != nil {
-		if !errors.Is(err, budget.ErrExhausted) {
-			return err
-		}
-		wh.budgetExhaustions.Add(1)
-		if bud.ExhaustedCause() == budget.CauseDeadline {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			return bud.Err()
-		}
+		// Step exhaustion degrades; on a hard error the caller drops out.
 		out.BudgetExhausted = true
-		return nil
+		return wh.exhaustion(ctx, bud, err)
 	}
 	if fully == budget.Yes {
 		out.ExactV = budget.Yes

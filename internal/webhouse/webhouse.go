@@ -506,17 +506,69 @@ type LocalAnswer struct {
 	Certificate *certify.Certificate
 }
 
-// recall looks up the answer of the given kind memoized on the knowledge
-// snapshot know under key, counting the lookup as an answer-cache hit or
-// miss.
-func (wh *Webhouse) recall(know *itree.T, kind uint8, key string) (any, bool) {
-	v, ok := know.Recall(kind, key)
-	if ok {
-		wh.cacheHits.Add(1)
-	} else {
-		wh.cacheMisses.Add(1)
+// memoAnswer is an answer kind memoized on the knowledge snapshot: a
+// pointer to the answer struct, which reports whether its budget ran out.
+type memoAnswer[A any] interface {
+	*A
+	exhausted() bool
+}
+
+func (la *LocalAnswer) exhausted() bool    { return la.BudgetExhausted }
+func (ea *ExtendedAnswer) exhausted() bool { return ea.BudgetExhausted }
+
+// memoized is the one memoized-answer path, shared by AnswerLocally and
+// AnswerExtended. It serves the answer of the given kind memoized on the
+// source's knowledge snapshot under key, or computes it on that snapshot
+// and memoizes it unless its budget ran out: a later request with headroom
+// (or a raised budget) must be able to compute the exact answer. Each
+// lookup counts as an answer-cache hit or miss, and each caller gets its
+// own copy of the answer struct.
+func memoized[A any, P memoAnswer[A]](ctx context.Context, wh *Webhouse, source string,
+	kind uint8, key string, compute func(know *itree.T) (P, error)) (P, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return v, ok
+	r, err := wh.Repo(source)
+	if err != nil {
+		return nil, err
+	}
+	know := r.snapshot()
+	if v, ok := know.Recall(kind, key); ok {
+		wh.cacheHits.Add(1)
+		cp := *v.(P)
+		return &cp, nil
+	}
+	wh.cacheMisses.Add(1)
+	out, err := compute(know)
+	if err != nil {
+		return nil, err
+	}
+	if !out.exhausted() {
+		know.Remember(kind, key, out)
+	}
+	cp := *out
+	return &cp, nil
+}
+
+// exhaustion applies the budget-exhaustion policy to a budgeted
+// computation's error. It returns nil when the step allowance ran out: the
+// caller then degrades soundly. Otherwise it returns the error to fail
+// with: a deadline as the context's error, which the serving layer maps to
+// a timeout (it is the caller's timeout, not overload the webhouse can
+// shed work around), and any other error as is. Every exhaustion counts in
+// BudgetExhaustions.
+func (wh *Webhouse) exhaustion(ctx context.Context, bud *budget.B, err error) error {
+	if !errors.Is(err, budget.ErrExhausted) {
+		return err
+	}
+	wh.budgetExhaustions.Add(1)
+	if bud.ExhaustedCause() != budget.CauseDeadline {
+		return nil
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return bud.Err()
 }
 
 // snapshot returns the repository's knowledge: the refiner's shared,
@@ -563,20 +615,10 @@ func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Que
 	}
 	possible, out.FullyV, out.CertainlyNonEmptyV, out.PossiblyNonEmptyV = f.Possible, f.Fully, f.CertainlyNonEmpty, f.PossiblyNonEmpty
 	if err != nil {
-		if !errors.Is(err, budget.ErrExhausted) {
+		if err := wh.exhaustion(ctx, bud, err); err != nil {
 			return nil, nil, false, err
 		}
-		wh.budgetExhaustions.Add(1)
 		out.BudgetExhausted = true
-		if bud.ExhaustedCause() == budget.CauseDeadline {
-			// Deadline exhaustion is the caller's timeout, not overload the
-			// webhouse can shed work around: surface the context error so
-			// the serving layer maps it to a timeout response.
-			if err := ctx.Err(); err != nil {
-				return nil, nil, false, err
-			}
-			return nil, nil, false, bud.Err()
-		}
 		if p := wh.fallbackLocal(know, q, out); p != nil {
 			possible, possibleLossy = p, true
 		}
@@ -653,30 +695,10 @@ func (wh *Webhouse) fallbackLocal(know *itree.T, q query.Query, out *LocalAnswer
 // independent sub-answers of a miss are fanned out across the worker pool
 // under the caller's deadline.
 func (wh *Webhouse) AnswerLocally(ctx context.Context, source string, q query.Query) (*LocalAnswer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r, err := wh.Repo(source)
-	if err != nil {
-		return nil, err
-	}
-	key := q.String()
-	know := r.snapshot()
-	if v, ok := wh.recall(know, itree.MemoLocal, key); ok {
-		cp := *v.(*LocalAnswer)
-		return &cp, nil
-	}
-	out, _, _, err := wh.computeLocal(ctx, know, q)
-	if err != nil {
-		return nil, err
-	}
-	// Degraded answers are never memoized: a later request with headroom (or
-	// a raised budget) must be able to compute the exact answer.
-	if !out.BudgetExhausted {
-		know.Remember(itree.MemoLocal, key, out)
-	}
-	cp := *out
-	return &cp, nil
+	return memoized(ctx, wh, source, itree.MemoLocal, q.String(), func(know *itree.T) (*LocalAnswer, error) {
+		la, _, _, err := wh.computeLocal(ctx, know, q)
+		return la, err
+	})
 }
 
 // CompleteAnswer is the result of AnswerComplete. When the source was
