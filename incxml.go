@@ -201,7 +201,10 @@ var (
 var (
 	// Complete generates a non-redundant completion (Theorem 3.19).
 	Complete = mediator.Complete
-	// MergePrefixes adjoins local answers to a known prefix.
+	// MergePrefixes adjoins local answers to a known prefix: the union of
+	// the inputs by persistent id, with no access to the document. A shared
+	// id that disagrees on label, value or parent, or an answer rooted at a
+	// node no earlier input holds, is an error.
 	MergePrefixes = mediator.Merge
 	// AdditionalQueries derives the Proposition 3.13 value-pinning queries.
 	AdditionalQueries = heuristics.AdditionalQueries

@@ -75,9 +75,6 @@ func GtInt(n int64) Cond { return Gt(rat.FromInt(n)) }
 // GeInt returns ">= n" for an integer literal.
 func GeInt(n int64) Cond { return Ge(rat.FromInt(n)) }
 
-// Between returns the condition ">= lo & <= hi".
-func Between(lo, hi rat.Rat) Cond { return Ge(lo).And(Le(hi)) }
-
 // Set returns the interval normal form.
 func (c Cond) Set() interval.Set {
 	if !c.init {

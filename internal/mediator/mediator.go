@@ -118,7 +118,7 @@ func Complete(it *itree.T, q query.Query) ([]LocalQuery, error) {
 			if p.Extract && missingBelow(w, n) {
 				// A bar leaf wants the whole subtree; if anything below n is
 				// still unknown, fetch it.
-				out = append(out, LocalQuery{At: n, Q: query.Query{Root: cloneBar(p)}})
+				out = append(out, LocalQuery{At: n, Q: query.Query{Root: &query.Node{Label: p.Label, Cond: p.Cond, Extract: true}}})
 			}
 			return
 		}
@@ -139,11 +139,7 @@ func Complete(it *itree.T, q query.Query) ([]LocalQuery, error) {
 			}
 		}
 		if len(cKeep) > 0 {
-			pc := &query.Node{Label: p.Label, Cond: p.Cond}
-			for _, mc := range cKeep {
-				pc.Children = append(pc.Children, mc)
-			}
-			out = append(out, LocalQuery{At: n, Q: query.Query{Root: pc}})
+			out = append(out, LocalQuery{At: n, Q: query.Query{Root: &query.Node{Label: p.Label, Cond: p.Cond, Children: cKeep}}})
 		}
 		for _, r := range recurse {
 			for _, ni := range dataChildrenMatching(n, r.path) {
@@ -153,11 +149,6 @@ func Complete(it *itree.T, q query.Query) ([]LocalQuery, error) {
 	}
 	descend(q.Root, "0", td.Root.ID)
 	return out, nil
-}
-
-// cloneBar copies a bar pattern leaf.
-func cloneBar(p *query.Node) *query.Node {
-	return &query.Node{Label: p.Label, Cond: p.Cond, Extract: true}
 }
 
 // missingBelow reports whether any non-data information is reachable below
@@ -198,20 +189,15 @@ type Executor interface {
 
 // ExecuteAll runs every local query of a Theorem 3.19 completion through
 // the executor as a scatter plan: the queries are independent by
-// non-redundancy, so they are fanned out across the default worker pool
-// with bounded concurrency, preserving order (answers[i] answers ls[i]).
-// The completion is only useful whole — a partial answer set does not
-// complete the representation — so the first hard failure (after whatever
-// retries the executor performs) cancels the in-flight siblings' contexts
-// and is returned; the caller then degrades to a local approximation.
-func ExecuteAll(ctx context.Context, ex Executor, ls []LocalQuery) ([]tree.Tree, error) {
-	return ExecuteAllPool(ctx, engine.Default(), ex, ls)
-}
-
-// ExecuteAllPool is ExecuteAll fanned out over an explicit worker pool
-// (nil selects the default pool). The executor must be safe for concurrent
-// use — every SourceClient is.
-func ExecuteAllPool(ctx context.Context, p *engine.Pool, ex Executor, ls []LocalQuery) ([]tree.Tree, error) {
+// non-redundancy, so they are fanned out across the worker pool p (nil
+// selects the default pool) with bounded concurrency, preserving order
+// (answers[i] answers ls[i]). The executor must be safe for concurrent use —
+// every SourceClient is. The completion is only useful whole — a partial
+// answer set does not complete the representation — so the first hard
+// failure (after whatever retries the executor performs) cancels the
+// in-flight siblings' contexts and is returned; the caller then degrades to
+// a local approximation.
+func ExecuteAll(ctx context.Context, p *engine.Pool, ex Executor, ls []LocalQuery) ([]tree.Tree, error) {
 	if p == nil {
 		p = engine.Default()
 	}
@@ -263,51 +249,83 @@ func ExecuteAllPool(ctx context.Context, p *engine.Pool, ex Executor, ls []Local
 }
 
 // Merge adjoins the answers of executed local queries to a base prefix of
-// the document: all inputs must be prefixes of the same world with
-// persistent ids, and the result is the world's prefix induced by the union
-// of their nodes. An input node whose id does not occur in world — an
-// answer from a different document generation, or a cross-shard answer that
-// does not share the world's persistent ids — would silently vanish from
-// the prefix and corrupt the completion; Merge reports it as an error
-// instead.
-func Merge(world tree.Tree, base tree.Tree, answers ...tree.Tree) (tree.Tree, error) {
-	known := world.IDs()
-	keep := map[tree.NodeID]bool{}
-	collect := func(what string, t tree.Tree) error {
-		var bad tree.NodeID
-		found := false
-		t.Walk(func(n *tree.Node) {
-			if !found && !known[n.ID] {
-				bad, found = n.ID, true
+// the document, from the inputs alone: Theorem 3.19's mediator knows only
+// the data tree and the answers to its local queries. The result is the
+// union of the inputs by persistent id. The base is a prefix of the
+// document, and each answer to p@n is rooted at its anchor n, a node of the
+// base or of an earlier answer, so the union is again a prefix. A node id
+// seen twice must agree on label and value (the check of refine.Compatible)
+// and on its parent. A disagreement, or an answer rooted at a node no
+// earlier input holds, means the inputs do not share one document
+// generation's persistent ids; merging them would corrupt the completion,
+// so Merge reports an error instead. The result shares no node with the
+// inputs.
+func Merge(base tree.Tree, answers ...tree.Tree) (tree.Tree, error) {
+	// place is one id of the union: the merged node, whose children grow as
+	// the inputs add them, and its parent (nil for the root).
+	type place struct {
+		node   tree.Node
+		parent *place
+	}
+	inputs := append([]tree.Tree{base}, answers...)
+	size := 0
+	for _, t := range inputs {
+		size += t.Size()
+	}
+	// places never outgrows its capacity, so pointers into it stay valid.
+	places := make([]place, 0, size)
+	at := make(map[tree.NodeID]*place, size)
+	var add func(n *tree.Node, parent *place) error
+	add = func(n *tree.Node, parent *place) error {
+		p := at[n.ID]
+		switch {
+		case p == nil:
+			kids := make([]*tree.Node, 0, len(n.Children))
+			places = append(places, place{node: tree.Node{ID: n.ID, Label: n.Label, Value: n.Value, Children: kids}, parent: parent})
+			p = &places[len(places)-1]
+			at[n.ID] = p
+			if parent != nil {
+				parent.node.Children = append(parent.node.Children, &p.node)
 			}
-			keep[n.ID] = true
-		})
-		if found {
-			return fmt.Errorf("mediator: merge: %s node %q is not in the world (inputs must share the world's persistent ids)", what, bad)
+		case p.node.Label != n.Label || !p.node.Value.Equal(n.Value):
+			return fmt.Errorf("node %q is %s=%s in one input and %s=%s in another", n.ID, p.node.Label, p.node.Value, n.Label, n.Value)
+		case parent != nil && p.parent != parent:
+			return fmt.Errorf("node %q is a child of %q in one input but not in another", n.ID, parent.node.ID)
+		}
+		for _, c := range n.Children {
+			if err := add(c, p); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
-	if err := collect("base", base); err != nil {
-		return tree.Tree{}, err
-	}
-	for i, a := range answers {
-		if err := collect(fmt.Sprintf("answer %d", i), a); err != nil {
-			return tree.Tree{}, err
+	for i, t := range inputs {
+		switch {
+		case t.Root == nil:
+			continue
+		case len(places) > 0 && at[t.Root.ID] == nil:
+			return tree.Tree{}, fmt.Errorf("mediator: merge: answer %d is rooted at %q, which no earlier input holds", i-1, t.Root.ID)
+		}
+		if err := add(t.Root, nil); err != nil {
+			return tree.Tree{}, fmt.Errorf("mediator: merge: input %d: %w", i, err)
 		}
 	}
-	return world.PrefixOn(keep), nil
+	if len(places) == 0 {
+		return tree.Tree{}, nil
+	}
+	return tree.Tree{Root: &places[0].node}, nil
 }
 
 // Completes verifies the completion property on a concrete world: answering
 // q on the data tree extended with the local answers coincides with
-// answering q on the world. Used by tests and the webhouse simulator.
+// answering q on the world. Used by tests.
 func Completes(it *itree.T, q query.Query, world tree.Tree, ls []LocalQuery) bool {
 	td := it.DataTree()
 	answers := make([]tree.Tree, len(ls))
 	for i, lq := range ls {
 		answers[i] = lq.Execute(world)
 	}
-	merged, err := Merge(world, td, answers...)
+	merged, err := Merge(td, answers...)
 	if err != nil {
 		return false
 	}

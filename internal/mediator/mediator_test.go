@@ -216,12 +216,15 @@ func TestMerge(t *testing.T) {
 	world := catalogWorld()
 	base := world.PrefixOn(map[tree.NodeID]bool{"canon": true})
 	ansA := world.PrefixOn(map[tree.NodeID]bool{"nikon.price": true})
-	merged, err := Merge(world, base, ansA)
+	// A local answer p@canon is rooted at its anchor, not at the world's
+	// root; Merge places it through the base.
+	ansB := LocalQuery{At: "canon", Q: query.MustParse("product\n  picture\n")}.Execute(world)
+	merged, err := Merge(base, ansA, ansB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := merged.IDs()
-	for _, want := range []string{"c0", "canon", "nikon", "nikon.price"} {
+	for _, want := range []string{"c0", "canon", "nikon", "nikon.price", "canon.pic0"} {
 		if !ids[tree.NodeID(want)] {
 			t.Errorf("merged prefix missing %s", want)
 		}
@@ -340,7 +343,7 @@ func TestExecuteAllOrderAndAbort(t *testing.T) {
 	// Success: answers come back aligned with their queries even though the
 	// fan-out is concurrent.
 	ex := &scriptedExec{world: world}
-	answers, err := ExecuteAll(context.Background(), ex, ls)
+	answers, err := ExecuteAll(context.Background(), nil, ex, ls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +360,7 @@ func TestExecuteAllOrderAndAbort(t *testing.T) {
 	// representation) and the error identifies the query that failed — never
 	// a sibling that merely observed the cancellation.
 	ex = &scriptedExec{world: world, failAt: "nikon"}
-	if _, err := ExecuteAll(context.Background(), ex, ls); err == nil {
+	if _, err := ExecuteAll(context.Background(), nil, ex, ls); err == nil {
 		t.Fatal("failure swallowed")
 	} else if !strings.Contains(err.Error(), fmt.Sprintf("local query 2 of %d", len(ls))) {
 		t.Errorf("error does not identify the failing query: %v", err)
@@ -367,7 +370,7 @@ func TestExecuteAllOrderAndAbort(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ex = &scriptedExec{world: world}
-	if _, err := ExecuteAll(ctx, ex, ls); !errors.Is(err, context.Canceled) {
+	if _, err := ExecuteAll(ctx, nil, ex, ls); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context: %v", err)
 	}
 	if got := ex.Calls(); got != 0 {

@@ -77,7 +77,7 @@ func TestExecuteAllCancelsSiblingsOnFailure(t *testing.T) {
 	go func() {
 		// A dedicated 3-worker pool guarantees all three queries are in
 		// flight at once regardless of GOMAXPROCS.
-		_, err := ExecuteAllPool(context.Background(), engine.NewPool(len(ls)), ex, ls)
+		_, err := ExecuteAll(context.Background(), engine.NewPool(len(ls)), ex, ls)
 		done <- err
 	}()
 	// Both siblings are blocked inside the executor; now let the first
@@ -101,32 +101,55 @@ func TestExecuteAllCancelsSiblingsOnFailure(t *testing.T) {
 }
 
 // TestMergeRejectsForeignIDs is the failing-first regression test for the
-// cross-shard merge bug: an answer carrying a node id the world does not
-// contain used to vanish silently from the merged prefix; Merge must now
-// report it.
+// cross-shard merge bug: an answer carrying node ids from another document
+// used to vanish silently from the merged prefix. Merge sees only its
+// inputs, so it must report every input that does not fit the others.
 func TestMergeRejectsForeignIDs(t *testing.T) {
 	world := catalogWorld()
 	base := world.PrefixOn(map[tree.NodeID]bool{"canon": true})
 
-	// An answer from a *different* world (fresh persistent ids throughout).
+	// An answer from a *different* world (fresh persistent ids throughout)
+	// is a second root.
 	foreign := tree.Tree{Root: tree.NewID("x0", "catalog", v(0),
 		tree.NewID("alien", "product", v(0),
 			tree.NewID("alien.price", "price", v(42))))}
-	if _, err := Merge(world, base, foreign); err == nil {
+	if _, err := Merge(base, foreign); err == nil {
 		t.Fatal("foreign answer ids merged silently")
-	} else if !strings.Contains(err.Error(), "alien") && !strings.Contains(err.Error(), "x0") {
-		t.Errorf("error does not name the foreign id: %v", err)
+	} else if !strings.Contains(err.Error(), "x0") {
+		t.Errorf("error does not name the foreign root: %v", err)
 	}
 
-	// A base prefix from a stale generation must be rejected the same way.
-	staleBase := tree.Tree{Root: tree.NewID("stale", "catalog", v(0))}
-	if _, err := Merge(world, staleBase); err == nil {
-		t.Fatal("foreign base ids merged silently")
+	// A local answer anchored at a node the base does not know is a second
+	// root too.
+	if _, err := Merge(base, tree.Tree{Root: prod("pentax", 14, 99, 2)}); err == nil {
+		t.Fatal("answer anchored outside the base merged silently")
+	}
+
+	// A base prefix from a stale generation shares ids with the answers but
+	// not their content: canon's price was 99 then and is 120 now, and
+	// nikon.price once hung below canon.
+	staleBase := tree.Tree{Root: tree.NewID("c0", "catalog", v(0),
+		tree.NewID("canon", "product", v(0),
+			tree.NewID("canon.price", "price", v(99)),
+			tree.NewID("nikon.price", "price", v(199))))}
+	for _, tc := range []struct {
+		name string
+		ans  tree.Tree
+		want string
+	}{
+		{"value", LocalQuery{At: "canon", Q: query.MustParse("product\n  price\n")}.Execute(world), `"canon.price" is price=99`},
+		{"parent", world.PrefixOn(map[tree.NodeID]bool{"nikon.price": true}), `"nikon.price" is a child of "nikon" in one input but not`},
+	} {
+		if _, err := Merge(staleBase, tc.ans); err == nil {
+			t.Errorf("%s conflict with a stale base merged silently", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s conflict: error %q does not say %s", tc.name, err, tc.want)
+		}
 	}
 
 	// Sanity: the same shapes with the world's own ids still merge.
 	ans := world.PrefixOn(map[tree.NodeID]bool{"nikon.price": true})
-	if _, err := Merge(world, base, ans); err != nil {
+	if _, err := Merge(base, ans); err != nil {
 		t.Fatalf("well-formed merge failed: %v", err)
 	}
 }
@@ -175,7 +198,7 @@ func TestScatterGatherDifferentialSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v", seed, err)
 		}
-		par, err := ExecuteAll(context.Background(), ex, ls)
+		par, err := ExecuteAll(context.Background(), nil, ex, ls)
 		if err != nil {
 			t.Fatalf("seed %d: scatter: %v", seed, err)
 		}
@@ -187,16 +210,30 @@ func TestScatterGatherDifferentialSoak(t *testing.T) {
 				t.Errorf("seed %d: answer %d differs between sequential and scatter execution", seed, i)
 			}
 		}
-		mseq, err := Merge(world, know.DataTree(), seq...)
+		mseq, err := Merge(know.DataTree(), seq...)
 		if err != nil {
 			t.Fatalf("seed %d: sequential merge: %v", seed, err)
 		}
-		mpar, err := Merge(world, know.DataTree(), par...)
+		mpar, err := Merge(know.DataTree(), par...)
 		if err != nil {
 			t.Fatalf("seed %d: scatter merge: %v", seed, err)
 		}
 		if mseq.CanonicalWithIDs() != mpar.CanonicalWithIDs() {
 			t.Errorf("seed %d: merged prefixes differ between sequential and scatter execution", seed)
+		}
+		// The union by id is the world's prefix on the inputs' ids, which
+		// is how Merge built it when it read the world.
+		keep := know.DataTree().IDs()
+		for _, a := range seq {
+			for id := range a.IDs() {
+				keep[id] = true
+			}
+		}
+		if !mseq.Equal(world.PrefixOn(keep)) {
+			t.Errorf("seed %d: merged prefix differs from the world's prefix on the same ids", seed)
+		}
+		if err := mseq.Validate(); err != nil {
+			t.Errorf("seed %d: merged prefix: %v", seed, err)
 		}
 	}
 }

@@ -260,7 +260,7 @@ func entry(q query.Query, a any) (SourceEnvelope, error) {
 	case tree.Tree: // an exploration returns the source's exact answer
 		doc, se.Completeness = a, completenessOf(certify.Exact(q, a))
 	case outageAnswer: // ... or, the source down, the certified local one
-		doc, se.Completeness = a.answer, completenessOf(certify.Exact(q, a.answer))
+		doc, se.Completeness = a.local.Exact, completenessOf(a.local.Certificate)
 		se.Degraded, se.Cause = true, a.cause.Error()
 	case *webhouse.LocalAnswer:
 		doc, se.Degraded, se.Local = a.Exact, a.BudgetExhausted, facetsOf(a)

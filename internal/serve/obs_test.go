@@ -158,9 +158,11 @@ func TestStatsAgreesWithMetrics(t *testing.T) {
 // produced by cmd/benchrobust into BENCH_robustness.json; this test keeps
 // the property from regressing silently.
 func TestE20MetricsOverhead(t *testing.T) {
+	// n*99/100 must fall below n-1, so the p99 is not simply the slowest
+	// sample: n = 200 reads index 198.
 	n, block := 400, 20
 	if testing.Short() {
-		n, block = 60, 10
+		n, block = 200, 10
 	}
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
@@ -200,4 +202,27 @@ func TestE20MetricsOverhead(t *testing.T) {
 		t.Errorf("E20: p99 with metrics %v exceeds baseline %v * 1.05 + %v", enabled, disabled, slack)
 	}
 	t.Logf("E20: p99 enabled=%v disabled=%v (limit %v, n=%d)", enabled, disabled, limit, n)
+}
+
+// TestExploreTraceReportsFold: every acquisition shares one fold tail, so
+// an /explore's X-Trace names its fold after the source call, as a
+// /complete's does.
+func TestExploreTraceReportsFold(t *testing.T) {
+	s, err := New(Config{Timeout: 5 * time.Second, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	// The completion poses a query the exploration did not certify.
+	for path, body := range map[string]string{"/explore": "catalog\n  product\n    name\n", "/complete": catalogBody} {
+		rec := post(t, h, path, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d (%s)", path, rec.Code, rec.Body)
+		}
+		x := rec.Header().Get("X-Trace")
+		src, fold := strings.Index(x, " source="), strings.Index(x, " fold=")
+		if src < 0 || fold < src {
+			t.Errorf("%s: X-Trace %q does not report the source call and then the fold", path, x)
+		}
+	}
 }

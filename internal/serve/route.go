@@ -5,11 +5,9 @@ import (
 	"errors"
 	"net/http"
 
-	"incxml/internal/answer"
 	"incxml/internal/budget"
 	"incxml/internal/faulty"
-	"incxml/internal/query"
-	"incxml/internal/tree"
+	"incxml/internal/webhouse"
 )
 
 // route is one answer route's spec: everything that differs between the
@@ -46,8 +44,8 @@ func (s *Server) routes() []route {
 			execute: func(ctx context.Context, req *request) (*AnswerEnvelope, error) {
 				a, err := c.Explore(ctx, req.source, req.query)
 				if errors.Is(err, faulty.ErrUnavailable) {
-					if known, ok := s.certified(ctx, req.source, req.query); ok {
-						return req.render(outageAnswer{known, err}, nil)
+					if la, lerr := c.AnswerLocally(ctx, req.source, req.query); lerr == nil && la.Fully {
+						return req.render(outageAnswer{la, err}, nil)
 					}
 				}
 				return req.render(a, err)
@@ -81,29 +79,12 @@ func (s *Server) routes() []route {
 }
 
 // outageAnswer is what /explore serves while the source is unreachable for
-// a query the knowledge certifies: the exact answer q(data(T)) and the
-// source error behind the degraded flag.
+// a query the knowledge certifies (Corollary 3.15): the local answer, whose
+// Exact is then q in every world, and the source error behind the degraded
+// flag.
 type outageAnswer struct {
-	answer tree.Tree
-	cause  error
-}
-
-// certified answers q from the source's knowledge snapshot alone when
-// Corollary 3.15 certifies q fully answerable: every world of rep(T) then
-// answers q(data(T)), so that answer is exact without the source. Only a Yes
-// counts; the check runs under the request's step allowance and deadline,
-// and the verdict is usually memoized on the snapshot by the fold that
-// last acquired q.
-func (s *Server) certified(ctx context.Context, source string, q query.Query) (tree.Tree, bool) {
-	know, err := s.cluster.Knowledge(source)
-	if err != nil {
-		return tree.Tree{}, false
-	}
-	bud := budget.New(ctx, budget.CapSteps(ctx, s.cfg.Budget))
-	if fully, _ := answer.FullyAnswerableBudgeted(know, q, bud); fully != budget.Yes {
-		return tree.Tree{}, false
-	}
-	return q.Eval(know.DataTree()), true
+	local *webhouse.LocalAnswer
+	cause error
 }
 
 // pipeline is the request pipeline every answer route shares: decode |

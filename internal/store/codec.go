@@ -374,7 +374,7 @@ func (d *dec) node(depth int) (*tree.Node, error) {
 	return n, nil
 }
 
-// ---- dtd types ----
+// ---- dtd multiplicities (used by the ctype codec) ----
 
 func (e *enc) mult(m dtd.Mult) { e.byte(byte(m)) }
 
@@ -388,85 +388,6 @@ func (d *dec) mult() (dtd.Mult, error) {
 		return m, nil
 	}
 	return 0, corruptf("bad multiplicity 0x%02x", b)
-}
-
-func (e *enc) dtdType(t *dtd.Type) {
-	if t == nil {
-		e.bool(false)
-		return
-	}
-	e.bool(true)
-	roots := append([]tree.Label(nil), t.Roots...)
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	e.uvarint(uint64(len(roots)))
-	for _, r := range roots {
-		e.str(string(r))
-	}
-	labels := make([]tree.Label, 0, len(t.Mu))
-	for l := range t.Mu {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	e.uvarint(uint64(len(labels)))
-	for _, l := range labels {
-		e.str(string(l))
-		atom := t.Mu[l]
-		e.uvarint(uint64(len(atom)))
-		for _, it := range atom {
-			e.str(string(it.Label))
-			e.mult(it.Mult)
-		}
-	}
-}
-
-func (d *dec) dtdType() (*dtd.Type, error) {
-	present, err := d.bool()
-	if err != nil {
-		return nil, err
-	}
-	if !present {
-		return nil, nil
-	}
-	out := &dtd.Type{Mu: map[tree.Label]dtd.Atom{}}
-	nroots, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nroots; i++ {
-		r, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		out.Roots = append(out.Roots, tree.Label(r))
-	}
-	nrules, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nrules; i++ {
-		l, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		nitems, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		var atom dtd.Atom
-		for j := 0; j < nitems; j++ {
-			il, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			m, err := d.mult()
-			if err != nil {
-				return nil, err
-			}
-			atom = append(atom, dtd.Item{Label: tree.Label(il), Mult: m})
-		}
-		out.Mu[tree.Label(l)] = atom
-	}
-	return out, nil
 }
 
 // ---- conditional tree types / incomplete trees ----

@@ -311,7 +311,7 @@ func TestCompletionPropertyUnderFaults(t *testing.T) {
 		}
 		var answers []tree.Tree
 		for i := 0; ; i++ {
-			answers, err = mediator.ExecuteAll(context.Background(), client, ls)
+			answers, err = mediator.ExecuteAll(context.Background(), nil, client, ls)
 			if err == nil {
 				break
 			}
@@ -331,7 +331,7 @@ func TestCompletionPropertyUnderFaults(t *testing.T) {
 				seen[n.ID] = qi
 			})
 		}
-		merged, err := mediator.Merge(hidden, know.DataTree(), answers...)
+		merged, err := mediator.Merge(know.DataTree(), answers...)
 		if err != nil {
 			t.Fatalf("seed %d: merge: %v", seed, err)
 		}

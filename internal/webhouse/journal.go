@@ -89,20 +89,6 @@ func (wh *Webhouse) journalRecord(ev JournalEvent) {
 	}
 }
 
-// observeEventLocked builds the journal event for an observation folded
-// into r. Caller holds r.mu for writing.
-func observeEventLocked(r *Repository, q query.Query, a tree.Tree) JournalEvent {
-	return JournalEvent{
-		Kind:      EventObserve,
-		Source:    r.Source.Name,
-		Query:     q,
-		Answer:    a,
-		Knowledge: r.refiner.Tree(),
-		Steps:     r.refiner.Steps(),
-		Lossy:     r.refiner.Lossy(),
-	}
-}
-
 // Export snapshots a repository's durable state consistently: the current
 // source document, the refiner's accumulated tree (not the reachable
 // intersection, which is derived), the observation count, and the lossy

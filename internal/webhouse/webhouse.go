@@ -324,19 +324,6 @@ func (wh *Webhouse) Stats() Stats {
 	}
 }
 
-// observeLocked folds the answer a of query q into r (foldLocked) under the
-// webhouse budget: on exhaustion the refiner degrades to the Proposition
-// 3.13 lossy shrink rather than dropping the (already paid-for) source
-// answer, so acquisition never fails on budget grounds — it merely
-// coarsens. The caller must hold r.mu for writing.
-func (wh *Webhouse) observeLocked(ctx context.Context, r *Repository, q query.Query, a tree.Tree) error {
-	degraded, err := r.foldLocked(q, a, func() *budget.B { return wh.newBudget(ctx) })
-	if degraded {
-		wh.lossyFallbacks.Add(1)
-	}
-	return err
-}
-
 // foldLocked folds the answer a of query q into r with the paper's recovery
 // strategy: when the observation contradicts the accumulated knowledge —
 // the source changed under us — it is folded into a fresh refiner for the
@@ -350,11 +337,15 @@ func (wh *Webhouse) observeLocked(ctx context.Context, r *Repository, q query.Qu
 // already answers a, so rep(Refine(T, q, a)) = rep(T) (Corollary 3.15) and
 // the refiner, its snapshot and the answers memoized on it are kept. The
 // verdict is the exact one, never a budgeted Unknown, so that live folds
-// and recovery's replay of the same journal skip the same observations.
+// and recovery's replay of the same journal skip the same observations. A
+// refiner that has observed nothing yet is not checked: it knows no data to
+// certify an answer from.
 func (r *Repository) foldLocked(q query.Query, a tree.Tree, bud func() *budget.B) (degraded bool, err error) {
-	if r.redundantLocked(q, a) {
-		refine.CountRedundant()
-		return false, nil
+	if r.refiner.Steps() > 0 {
+		if ans, ok, _ := certified(r.refiner.Reachable(), q, nil); ok && ans.Equal(a) {
+			refine.CountRedundant()
+			return false, nil
+		}
 	}
 	degraded, err = r.refiner.ObserveBudgeted(q, a, bud())
 	if !errors.Is(err, refine.ErrInconsistent) {
@@ -367,18 +358,49 @@ func (r *Repository) foldLocked(q query.Query, a tree.Tree, bud func() *budget.B
 	return degraded, err
 }
 
-// redundantLocked reports whether folding the answer a of q would leave
-// rep(T) unchanged: the snapshot's exact Corollary 3.15 verdict certifies q
-// and a equals q(data(T)). The verdict is memoized on the snapshot. A
-// refiner that has observed nothing yet is not checked: it knows no data to
-// certify an answer from. The caller must hold r.mu.
-func (r *Repository) redundantLocked(q query.Query, a tree.Tree) bool {
-	if r.refiner.Steps() == 0 {
-		return false
+// certified is the Corollary 3.15 shortcut: when know certifies q fully
+// answerable under bud (nil: exact), every world of rep(T) answers
+// q(data(T)), so that answer is exact without the source. Only a Yes
+// counts; err is the decider's, and the verdict is memoized on a marked
+// snapshot.
+func certified(know *itree.T, q query.Query, bud *budget.B) (ans tree.Tree, ok bool, err error) {
+	fully, err := answer.FullyAnswerableBudgeted(know, q, bud)
+	if fully != budget.Yes {
+		return tree.Tree{}, false, err
 	}
-	know := r.refiner.Reachable()
-	fully, err := answer.FullyAnswerableBudgeted(know, q, nil)
-	return err == nil && fully == budget.Yes && q.Eval(know.DataTree()).Equal(a)
+	return q.Eval(know.DataTree()), true, nil
+}
+
+// errReset reports that a reset replaced the refiner a completion's
+// knowledge snapshot came from before its answer could be folded.
+var errReset = errors.New("webhouse: knowledge reset since the snapshot")
+
+// fold is the tail every acquisition shares. Under r's write lock and the
+// request's fold stage, it folds the answer a of q into r (foldLocked) under
+// the webhouse budget and journals the observation. On exhaustion the
+// refiner degrades to the Proposition 3.13 lossy shrink rather than
+// dropping the (already paid-for) source answer, so acquisition never fails
+// on budget grounds — it merely coarsens. A non-nil from is the refiner the
+// caller's snapshot came from: when Invalidate, Update, RestoreKnowledge or
+// the inconsistency recovery has replaced it since, nothing is folded and
+// errReset is returned.
+func (wh *Webhouse) fold(ctx context.Context, r *Repository, from *refine.Refiner, q query.Query, a tree.Tree) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if from != nil && r.refiner != from {
+		return errReset
+	}
+	defer obs.FromContext(ctx).Stage("fold")(0)
+	degraded, err := r.foldLocked(q, a, func() *budget.B { return wh.newBudget(ctx) })
+	if degraded {
+		wh.lossyFallbacks.Add(1)
+	}
+	if err != nil {
+		return err
+	}
+	wh.journalRecord(JournalEvent{Kind: EventObserve, Source: r.Source.Name, Query: q, Answer: a,
+		Knowledge: r.refiner.Tree(), Steps: r.refiner.Steps(), Lossy: r.refiner.Lossy()})
+	return nil
 }
 
 // Explore poses a ps-query to the source and folds the answer into the
@@ -402,12 +424,9 @@ func (wh *Webhouse) Explore(ctx context.Context, source string, q query.Query) (
 	if err != nil {
 		return tree.Tree{}, fmt.Errorf("webhouse: explore %q: %w", source, err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := wh.observeLocked(ctx, r, q, a); err != nil {
+	if err := wh.fold(ctx, r, nil, q, a); err != nil {
 		return tree.Tree{}, err
 	}
-	wh.journalRecord(observeEventLocked(r, q, a))
 	return a, nil
 }
 
@@ -420,7 +439,8 @@ func (wh *Webhouse) Knowledge(source string) (*itree.T, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.snapshot(), nil
+	know, _ := r.snapshot()
+	return know, nil
 }
 
 // Invalidate reinitializes the knowledge about a source to its tree type
@@ -532,7 +552,7 @@ func memoized[A any, P memoAnswer[A]](ctx context.Context, wh *Webhouse, source 
 	if err != nil {
 		return nil, err
 	}
-	know := r.snapshot()
+	know, _ := r.snapshot()
 	if v, ok := know.Recall(kind, key); ok {
 		wh.cacheHits.Add(1)
 		cp := *v.(P)
@@ -571,12 +591,13 @@ func (wh *Webhouse) exhaustion(ctx context.Context, bud *budget.B, err error) er
 	return bud.Err()
 }
 
-// snapshot returns the repository's knowledge: the refiner's shared,
-// read-only reachable tree, which carries the memo of answers about it.
-func (r *Repository) snapshot() *itree.T {
+// snapshot returns the repository's knowledge — the refiner's shared,
+// read-only reachable tree, which carries the memo of answers about it —
+// and the refiner it came from.
+func (r *Repository) snapshot() (*itree.T, *refine.Refiner) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.refiner.Reachable()
+	return r.refiner.Reachable(), r.refiner
 }
 
 // fallbackSteps bounds the lossy-fallback recomputation: the shrunk tree is
@@ -760,29 +781,28 @@ func (wh *Webhouse) degrade(ctx context.Context, know *itree.T, q query.Query, a
 
 // askWhole poses q itself to the source and folds the answer in — the
 // completion path used when nothing is known yet, or when a Theorem 3.19
-// completion came back unusable (the source's ids rotated under us).
-func (wh *Webhouse) askWhole(ctx context.Context, r *Repository, client faulty.SourceClient, know *itree.T, q query.Query) (*CompleteAnswer, error) {
+// completion came back unusable. When the source is unavailable it degrades
+// from the current knowledge snapshot.
+func (wh *Webhouse) askWhole(ctx context.Context, r *Repository, client faulty.SourceClient, q query.Query) (*CompleteAnswer, error) {
 	endSource := obs.FromContext(ctx).Stage("source")
 	a, err := client.Ask(ctx, q)
 	endSource(0)
 	if err != nil {
+		know, _ := r.snapshot()
 		return wh.degrade(ctx, know, q, 1, err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	defer obs.FromContext(ctx).Stage("fold")(0)
-	if err := wh.observeLocked(ctx, r, q, a); err != nil {
+	if err := wh.fold(ctx, r, nil, q, a); err != nil {
 		return nil, err
 	}
-	wh.journalRecord(observeEventLocked(r, q, a))
 	return &CompleteAnswer{Answer: a, LocalQueries: 1, Certificate: certify.Exact(q, a)}, nil
 }
 
 // AnswerComplete answers q exactly, contacting the source only as needed:
 // if q is fully answerable the local answer is returned; otherwise the
 // Theorem 3.19 completion is executed against the source through the
-// repository's client, folded into the repository, and the query answered
-// from the enriched data. No repository lock is held during source access,
+// repository's client, the query is answered on the known data merged with
+// the completion's answers alone, and that answer is folded into the
+// repository. No repository lock is held during source access,
 // and the context's deadline bounds the whole call. If the source is
 // unavailable (outage, open breaker, retries exhausted or precluded by the
 // deadline) the result degrades to the approximate local answer with
@@ -795,55 +815,50 @@ func (wh *Webhouse) AnswerComplete(ctx context.Context, source string, q query.Q
 	if err != nil {
 		return nil, err
 	}
-	know := r.snapshot()
+	know, base := r.snapshot()
 	// Unknown (budget exhausted) is treated as "not certified": the source
 	// is contacted, which is always sound, merely less frugal.
 	certBud := wh.newBudget(ctx)
 	endCertify := obs.FromContext(ctx).Stage("certify")
-	fullyV, err := answer.FullyAnswerableBudgeted(know, q, certBud)
+	ans, ok, err := certified(know, q, certBud)
 	endCertify(certBud.Used())
 	if err != nil && !errors.Is(err, budget.ErrExhausted) {
 		return nil, err
 	}
-	if fullyV == budget.Yes {
-		ans := q.Eval(know.DataTree())
+	if ok {
 		return &CompleteAnswer{Answer: ans, Certificate: certify.Exact(q, ans)}, nil
 	}
 	client := r.Client()
 	if know.DataTree().Root == nil {
 		// Nothing known: pose the query itself.
-		return wh.askWhole(ctx, r, client, know, q)
+		return wh.askWhole(ctx, r, client, q)
 	}
 	ls, err := mediator.Complete(know, q)
 	if err != nil {
 		return nil, err
 	}
 	endSource := obs.FromContext(ctx).Stage("source")
-	answers, err := mediator.ExecuteAllPool(ctx, engine.Default(), client, ls)
+	answers, err := mediator.ExecuteAll(ctx, nil, client, ls)
 	endSource(0)
 	if err != nil {
 		return wh.degrade(ctx, know, q, len(ls), err)
 	}
-	// Merge the fetched prefixes into the known data and answer.
-	merged, err := mediator.Merge(r.Source.Doc(), know.DataTree(), answers...)
-	if err != nil {
-		// A node id the current document does not contain: the source's ids
-		// rotated between the knowledge snapshot and now, so the completion
-		// answers are unusable. Re-pose the query wholesale — always sound,
-		// merely less frugal — instead of merging a corrupt prefix.
-		return wh.askWhole(ctx, r, client, know, q)
+	// Adjoin the fetched prefixes to the known data, answer q on the union
+	// and fold that answer in as one observation of q, which Refine absorbs
+	// directly (with the usual recovery if the source changed since).
+	merged, err := mediator.Merge(know.DataTree(), answers...)
+	if err == nil {
+		result := q.Eval(merged)
+		if err = wh.fold(ctx, r, base, q, result); err == nil {
+			return &CompleteAnswer{Answer: result, LocalQueries: len(ls), Certificate: certify.Exact(q, result)}, nil
+		}
+		if !errors.Is(err, errReset) {
+			return nil, err
+		}
 	}
-	result := q.Eval(merged)
-	// Fold the new information into the repository as a single observation:
-	// the completion answers are prefixes of the document; re-observe q with
-	// its exact answer, which Refine can absorb directly (with the usual
-	// recovery if the source changed between the snapshot and now).
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	defer obs.FromContext(ctx).Stage("fold")(0)
-	if err := wh.observeLocked(ctx, r, q, result); err != nil {
-		return nil, err
-	}
-	wh.journalRecord(observeEventLocked(r, q, result))
-	return &CompleteAnswer{Answer: result, LocalQueries: len(ls), Certificate: certify.Exact(q, result)}, nil
+	// The completion is unusable: its answers disagree with the known data
+	// (the source's ids rotated under us), or a reset dropped the knowledge
+	// they extend. Re-pose the query wholesale — always sound, merely less
+	// frugal — instead of folding a corrupt or stale prefix.
+	return wh.askWhole(ctx, r, client, q)
 }

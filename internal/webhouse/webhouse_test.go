@@ -136,22 +136,7 @@ func TestAnswerCompleteOnColdCache(t *testing.T) {
 
 func TestAnswerCompleteFindsHiddenProduct(t *testing.T) {
 	// A product invisible to queries 1-2 must be fetched by the completion.
-	doc := workload.CatalogDocument([]workload.Product{
-		{ID: "canon", Name: 10, Price: 120, Subcat: workload.ValCamera, Pictures: []int64{20}},
-		{ID: "leica", Name: 17, Price: 999, Subcat: workload.ValCamera},
-	})
-	src, err := NewSource("catalog", workload.CatalogType(), doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wh := New()
-	wh.Register(src)
-	if _, err := wh.Explore(context.Background(), "catalog", workload.Query1(200)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wh.Explore(context.Background(), "catalog", workload.Query2()); err != nil {
-		t.Fatal(err)
-	}
+	wh, _ := exploredHiddenCamera(t, hiddenCameraCatalog())
 	ca, err := wh.AnswerComplete(context.Background(), "catalog", workload.Query4())
 	if err != nil {
 		t.Fatal(err)
