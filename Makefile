@@ -6,8 +6,9 @@ build:
 test:
 	go test ./...
 
+# Every benchmark behind EXPERIMENTS.md, summarised into BENCH_shapes.json.
 bench:
-	go test -bench=. -benchmem
+	bash scripts/bench.sh
 
 race:
 	go test -race ./...

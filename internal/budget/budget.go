@@ -213,18 +213,6 @@ func (b *B) Used() int64 {
 	return used
 }
 
-// Remaining reports the steps left (a large number for step-unlimited
-// budgets, 0 once exhausted).
-func (b *B) Remaining() int64 {
-	if b == nil {
-		return math.MaxInt64
-	}
-	if r := b.remaining.Load(); r > 0 {
-		return r
-	}
-	return 0
-}
-
 // Tri is a three-valued verdict: the answer of a budgeted decision
 // procedure. Yes and No are exact — a budgeted solver reports them only
 // when the full computation finished — and Unknown means the budget was

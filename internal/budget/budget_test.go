@@ -43,9 +43,6 @@ func TestStepExhaustionIsSticky(t *testing.T) {
 	if b.ExhaustedCause() != CauseSteps {
 		t.Fatalf("cause = %v", b.ExhaustedCause())
 	}
-	if b.Remaining() != 0 {
-		t.Fatalf("remaining after exhaustion = %d", b.Remaining())
-	}
 }
 
 func TestDeadlineExhaustion(t *testing.T) {

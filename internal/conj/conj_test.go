@@ -12,6 +12,7 @@ import (
 	"incxml/internal/rat"
 	"incxml/internal/refine"
 	"incxml/internal/tree"
+	"incxml/internal/workload"
 )
 
 func v(n int64) rat.Rat { return rat.FromInt(n) }
@@ -106,21 +107,28 @@ func TestRefinePlusMatchesRefine(t *testing.T) {
 	}
 }
 
+// TestRefinePlusSizeLinear is the E4 conjunctive shape gate (Corollary
+// 3.9): on the Example 3.2 workload every Refine⁺ step adds the same
+// structure, whether the source answers empty or with the E4 benchmark's
+// world answers, through the benchmark's longest chain of 24 queries.
 func TestRefinePlusSizeLinear(t *testing.T) {
-	// Corollary 3.9: conjunctive size grows linearly in the query sequence.
-	c := FromITree(refine.Universal(sigmaRAB))
-	var sizes []int
-	for i := int64(1); i <= 8; i++ {
-		if err := c.RefinePlus(blowupQuery(i), tree.Empty(), sigmaRAB); err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, c.Size())
+	world := workload.BlowupWorld()
+	answers := map[string]func(query.Query) tree.Tree{
+		"empty": func(query.Query) tree.Tree { return tree.Empty() },
+		"world": func(q query.Query) tree.Tree { return q.Eval(world) },
 	}
-	// Per-step growth must be constant (each step adds the same structure).
-	d1 := sizes[1] - sizes[0]
-	for i := 2; i < len(sizes); i++ {
-		if d := sizes[i] - sizes[i-1]; d != d1 {
-			t.Errorf("step %d growth %d differs from %d — not additive", i, d, d1)
+	for name, answer := range answers {
+		c := FromITree(refine.Universal(workload.BlowupSigma))
+		var sizes []int
+		for i, q := range workload.BlowupWorkload(24) {
+			if err := c.RefinePlus(q, answer(q), workload.BlowupSigma); err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, c.Size())
+			if i >= 2 && sizes[i]-sizes[i-1] != sizes[1]-sizes[0] {
+				t.Fatalf("%s answers: query %d grew the tree by %d, query 2 by %d — not additive (sizes %v)",
+					name, i+1, sizes[i]-sizes[i-1], sizes[1]-sizes[0], sizes)
+			}
 		}
 	}
 }

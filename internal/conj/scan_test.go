@@ -2,6 +2,7 @@ package conj
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -102,17 +103,32 @@ func TestBlowupMatchesSequentialSmall(t *testing.T) {
 	}
 }
 
-// BenchmarkEmptyScanBlowup measures the pruned search on the blowup family
-// (witness found, confirmation skipped): the E21 before/after comparison is
-// against EmptySequential on the same instance, which is exponential in n.
+// BenchmarkEmptyScanBlowup sweeps the blowup family under the E21 budget of
+// 20000 steps and reports the steps the pruned search charged and whether
+// the verdict degraded to Unknown (the E21 crossover and the E19 budgeted
+// column). Every prefix is non-empty, so a definite verdict must be No.
 func BenchmarkEmptyScanBlowup(b *testing.B) {
-	c := buildBlowup(b, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c.Empty() {
-			b.Fatal("blowup instance reported empty")
-		}
+	ctx := context.Background()
+	for n := 1; n <= 12; n++ {
+		c := buildBlowup(b, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var used int64
+			unknown := 0.0
+			for i := 0; i < b.N; i++ {
+				bud := budget.New(ctx, 20000)
+				v, _ := c.EmptyBudgeted(ctx, bud)
+				if v == budget.Yes {
+					b.Fatal("blowup instance reported empty")
+				}
+				if v == budget.Unknown {
+					unknown = 1
+				}
+				used = bud.Used()
+			}
+			b.ReportMetric(float64(used), "steps")
+			b.ReportMetric(unknown, "unknown")
+		})
 	}
 }
 

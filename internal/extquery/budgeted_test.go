@@ -61,7 +61,7 @@ func randomCatalogExtQuery(r *rand.Rand) extquery.Query {
 
 // TestAnswerBudgetedDifferential pins the budgeted evaluator against the
 // exact in-package oracle on a random corpus: with an ample budget the
-// answers must be identical trees, and Matches verdicts must agree.
+// answers must be identical trees.
 func TestAnswerBudgetedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -78,53 +78,12 @@ func TestAnswerBudgetedDifferential(t *testing.T) {
 			t.Fatalf("seed %d: budgeted answer differs from oracle\n got: %s\nwant: %s",
 				seed, got.String(), want.String())
 		}
-
-		tri, err := q.MatchesBudgeted(doc, budget.New(nil, 1<<24))
-		if err != nil {
-			t.Fatalf("seed %d: MatchesBudgeted: %v", seed, err)
-		}
-		if wantTri := budget.Of(q.Matches(doc)); tri != wantTri {
-			t.Fatalf("seed %d: MatchesBudgeted %v, oracle %v", seed, tri, wantTri)
-		}
-	}
-}
-
-// TestAnswerBudgetedNeverWrong: under a starvation budget the evaluator
-// must fail loudly (budget error) rather than return a truncated answer,
-// and MatchesBudgeted must never contradict the oracle.
-func TestAnswerBudgetedNeverWrong(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		doc := workload.RandomCatalog(4+r.Intn(6), seed)
-		q := randomCatalogExtQuery(r)
-		oracle := q.Answer(doc)
-
-		for _, steps := range []int64{1, 3, 7, 19} {
-			got, err := q.AnswerBudgeted(doc, budget.New(nil, steps))
-			if err == nil {
-				if !got.Equal(oracle) {
-					t.Fatalf("seed %d steps %d: completed search disagrees with oracle", seed, steps)
-				}
-			} else {
-				if !errors.Is(err, budget.ErrExhausted) {
-					t.Fatalf("seed %d steps %d: unexpected error %v", seed, steps, err)
-				}
-				if !got.Equal(tree.Empty()) {
-					t.Fatalf("seed %d steps %d: exhausted search leaked a partial answer", seed, steps)
-				}
-			}
-
-			tri, _ := q.MatchesBudgeted(doc, budget.New(nil, steps))
-			if tri.Known() && tri != budget.Of(q.Matches(doc)) {
-				t.Fatalf("seed %d steps %d: definite verdict %v contradicts oracle %v",
-					seed, steps, tri, budget.Of(q.Matches(doc)))
-			}
-		}
 	}
 }
 
 // negatedCatalogQuery generates a random catalog query that always carries
-// a ¬-subtree, for the negation-soundness sweep below.
+// a ¬-subtree, so the never-wrong sweep exhausts budgets inside negated-child
+// checks.
 func negatedCatalogQuery(r *rand.Rand) extquery.Query {
 	product := extquery.N("product", cond.True())
 	if r.Intn(2) == 0 {
@@ -138,40 +97,37 @@ func negatedCatalogQuery(r *rand.Rand) extquery.Query {
 	return extquery.Query{Root: extquery.N("catalog", cond.True(), product)}
 }
 
-// TestMatchesBudgetedNegationSoundness pins the REVIEW-reported soundness
-// hole: when the budget exhausts during a negated-child check, the
-// surviving valuation is unverified, so MatchesBudgeted must answer
-// Unknown — a definite Yes there can contradict the oracle (the query
-// below is a No under the exact evaluator, yet a 5-step budget used to
-// report Yes).
-func TestMatchesBudgetedNegationSoundness(t *testing.T) {
-	doc := workload.RandomCatalog(3, 1)
-	q := extquery.Query{Root: extquery.N("catalog", cond.True(),
+// TestAnswerBudgetedNeverWrong: at every small budget the evaluator must
+// either complete with the oracle's answer or fail loudly (budget error)
+// with an empty answer, never return a truncated one. The sweep covers
+// random extended queries and negation-bearing ones, where exhaustion inside
+// a negated-child check would otherwise keep an unverified valuation. The
+// fixed query has no valuation on these catalogs, whose every product has a
+// price below 1 000 000: a budget that runs out while its negated child is
+// being checked must not produce an answer.
+func TestAnswerBudgetedNeverWrong(t *testing.T) {
+	fixed := extquery.Query{Root: extquery.N("catalog", cond.True(),
 		extquery.N("product", cond.True(),
 			extquery.Negated(extquery.N("price", cond.LtInt(1000000)))))}
-	oracle := budget.Of(q.Matches(doc))
-	if tri, _ := q.MatchesBudgeted(doc, budget.New(nil, 5)); tri.Known() && tri != oracle {
-		t.Fatalf("5-step verdict %v contradicts oracle %v", tri, oracle)
-	}
-
-	// Sweep negation-bearing random queries across every small budget: a
-	// definite verdict must always agree with the exact oracle, and an
-	// Unknown must carry the exhaustion error.
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		doc := workload.RandomCatalog(2+r.Intn(5), seed)
-		q := negatedCatalogQuery(r)
-		want := budget.Of(q.Matches(doc))
-		for steps := int64(1); steps <= 200; steps++ {
-			tri, err := q.MatchesBudgeted(doc, budget.New(nil, steps))
-			if tri.Known() {
-				if tri != want {
-					t.Fatalf("seed %d steps %d: definite verdict %v contradicts oracle %v",
-						seed, steps, tri, want)
+		doc := workload.RandomCatalog(4+r.Intn(6), seed)
+		for _, q := range []extquery.Query{randomCatalogExtQuery(r), negatedCatalogQuery(r), fixed} {
+			oracle := q.Answer(doc)
+			for steps := int64(1); steps <= 64; steps++ {
+				got, err := q.AnswerBudgeted(doc, budget.New(nil, steps))
+				if err == nil {
+					if !got.Equal(oracle) {
+						t.Fatalf("seed %d steps %d: completed search disagrees with oracle\n%s", seed, steps, q)
+					}
+					continue
 				}
-			} else if !errors.Is(err, budget.ErrExhausted) {
-				t.Fatalf("seed %d steps %d: unknown verdict without exhaustion error: %v",
-					seed, steps, err)
+				if !errors.Is(err, budget.ErrExhausted) {
+					t.Fatalf("seed %d steps %d: unexpected error %v", seed, steps, err)
+				}
+				if !got.Equal(tree.Empty()) {
+					t.Fatalf("seed %d steps %d: exhausted search leaked a partial answer\n%s", seed, steps, q)
+				}
 			}
 		}
 	}

@@ -144,11 +144,6 @@ func (q Query) Vars() []string {
 type evaluator struct {
 	bud *budget.B
 	err error
-	// negUnverified records that a valuation survived a negated-child
-	// filter the budget exhausted before completing: that filter ran out
-	// of steps before it could certify the valuation is genuinely
-	// unblocked, so any surviving valuation may be spurious.
-	negUnverified bool
 }
 
 // charge consumes n steps; it reports false once the budget is exhausted,
@@ -285,12 +280,6 @@ func (ev *evaluator) match(pn *Node, tn *tree.Node, b Binding) []result {
 				}
 			}
 			if !blocked {
-				if ev.err != nil {
-					// Exhaustion truncated the negated-child search: this
-					// keep is unverified, so a Yes built on it could be
-					// wrong.
-					ev.negUnverified = true
-				}
 				kept = append(kept, r)
 			}
 		}
@@ -349,24 +338,6 @@ func (q Query) valuations(t tree.Tree, ev *evaluator) []result {
 
 // Matches reports whether the query has at least one valuation into t.
 func (q Query) Matches(t tree.Tree) bool { return len(q.valuations(t, &evaluator{})) > 0 }
-
-// MatchesBudgeted is Matches under a cooperative budget: Yes/No when the
-// search completed, Unknown (with the budget's error) when it exhausted
-// mid-search — never a wrong definite verdict.
-func (q Query) MatchesBudgeted(t tree.Tree, bud *budget.B) (budget.Tri, error) {
-	ev := &evaluator{bud: bud}
-	n := len(q.valuations(t, ev))
-	if ev.err != nil {
-		// A valuation found before exhaustion is still a valuation — unless
-		// it passed through a negation filter the budget truncated, in
-		// which case it may be spurious and only Unknown is sound.
-		if n > 0 && !ev.negUnverified {
-			return budget.Yes, nil
-		}
-		return budget.Unknown, ev.err
-	}
-	return budget.Of(n > 0), nil
-}
 
 // Answer returns the prefix of t induced by the union of all valuations'
 // images (with bar extractions and optional matches included), mirroring

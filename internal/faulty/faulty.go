@@ -163,13 +163,6 @@ func NewInjector(name string, b Backend, cfg InjectorConfig) *Injector {
 // non-transient ErrUnavailable until the outage is lifted.
 func (in *Injector) SetDown(down bool) { in.down.Store(down) }
 
-// SetFailRate changes the transient-failure probability.
-func (in *Injector) SetFailRate(p float64) {
-	in.mu.Lock()
-	in.failRate = p
-	in.mu.Unlock()
-}
-
 // SetLatency changes the injected per-call latency.
 func (in *Injector) SetLatency(d time.Duration) {
 	in.mu.Lock()

@@ -124,18 +124,21 @@ func TestInjectorTransientAndOutage(t *testing.T) {
 	if !IsTransient(err) {
 		t.Fatalf("FailRate=1 should yield a transient error, got %v", err)
 	}
-	in.SetFailRate(0)
-	if _, err := in.Ask(context.Background(), query.Query{}); err != nil {
-		t.Fatalf("FailRate=0: %v", err)
-	}
 	in.SetDown(true)
 	_, err = in.Ask(context.Background(), query.Query{})
 	if !errors.Is(err, ErrUnavailable) || IsTransient(err) {
 		t.Fatalf("outage should be a non-transient ErrUnavailable, got %v", err)
 	}
 	in.SetDown(false)
-	if in.Calls() != 3 || in.Failures() != 2 {
+	if in.Calls() != 2 || in.Failures() != 2 {
 		t.Errorf("counters: calls=%d failures=%d", in.Calls(), in.Failures())
+	}
+	healthy := NewInjector("src", b, InjectorConfig{Seed: 1})
+	if _, err := healthy.Ask(context.Background(), query.Query{}); err != nil {
+		t.Fatalf("FailRate=0: %v", err)
+	}
+	if healthy.Calls() != 1 || healthy.Failures() != 0 {
+		t.Errorf("healthy counters: calls=%d failures=%d", healthy.Calls(), healthy.Failures())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"incxml/internal/rat"
 	"incxml/internal/refine"
 	"incxml/internal/tree"
+	"incxml/internal/workload"
 )
 
 func v(n int64) rat.Rat { return rat.FromInt(n) }
@@ -68,12 +69,12 @@ func TestProposition313KeepsTreePolynomial(t *testing.T) {
 	}
 	// Aided chain: additional queries first (Proposition 3.13), then the
 	// workload.
-	var workload []query.Query
+	var seq []query.Query
 	for i := int64(1); i <= 6; i++ {
-		workload = append(workload, blowupQuery(i))
+		seq = append(seq, blowupQuery(i))
 	}
 	aided := refine.NewRefiner(sigmaRAB, nil)
-	for _, q := range heuristics.AdditionalQueries(workload) {
+	for _, q := range heuristics.AdditionalQueries(seq) {
 		if _, err := aided.ObserveOn(world, q); err != nil {
 			t.Fatal(err)
 		}
@@ -94,6 +95,24 @@ func TestProposition313KeepsTreePolynomial(t *testing.T) {
 	// Both chains must still accept the true world.
 	if !plain.Tree().Member(world) || !aided.Tree().Member(world) {
 		t.Error("true world rejected")
+	}
+
+	// E16 shape gate: on the E16 benchmark's chains (the additional
+	// queries of an n-query workload, then the workload) the tree ends at
+	// the same size for n = 2, 4 and 6.
+	sizes := map[int]int{}
+	for _, n := range []int{2, 4, 6} {
+		qs := workload.BlowupWorkload(n)
+		r := refine.NewRefiner(workload.BlowupSigma, nil)
+		for _, q := range append(heuristics.AdditionalQueries(qs), qs...) {
+			if _, err := r.ObserveOn(workload.BlowupWorld(), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sizes[n] = r.Tree().Size()
+	}
+	if sizes[2] != sizes[4] || sizes[4] != sizes[6] {
+		t.Errorf("E16 chains: sizes %v, want one constant size", sizes)
 	}
 }
 

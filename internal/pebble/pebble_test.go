@@ -144,6 +144,18 @@ func TestIntersectionList(t *testing.T) {
 	if il.Size() == 0 {
 		t.Error("size should be positive")
 	}
+
+	// E12 shape gate (Theorem 4.2): the representation grows linearly in
+	// the constraint sequence, as in the E12 benchmark's 1, 4, 16 sweep.
+	lin := &IntersectionList{}
+	lin.Add(hasLeafAutomaton("price"))
+	one := lin.Size()
+	for k := 2; k <= 16; k++ {
+		lin.Add(hasLeafAutomaton("price"))
+		if lin.Size() != k*one {
+			t.Fatalf("%d constraints: size %d, want %d×%d", k, lin.Size(), k, one)
+		}
+	}
 }
 
 func TestBoundedEmpty(t *testing.T) {
@@ -178,7 +190,8 @@ func TestRelabelByValue(t *testing.T) {
 		func(n *tree.Node) bool { return n.Value.Less(rat.FromInt(2)) },
 		func(n *tree.Node) bool { return !n.Value.Less(rat.FromInt(2)) },
 	})
-	labels := relabeled.Labels()
+	labels := map[tree.Label]bool{}
+	relabeled.Walk(func(n *tree.Node) { labels[n.Label] = true })
 	if !labels["a[0]"] || !labels["a[1]"] {
 		t.Errorf("value classes not folded into labels: %v", labels)
 	}

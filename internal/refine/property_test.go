@@ -298,9 +298,33 @@ func TestQuickCharacterizationAcrossRandomTypes(t *testing.T) {
 	}
 }
 
+// TestBlowupRegularDoubles is the E4 regular shape gate (Theorem 3.8): on
+// the E4 benchmark's Example 3.2 workload the compacted regular tree about
+// doubles with every query, the 2ⁿ case split Refine cannot avoid: the
+// growth each query adds is twice the growth of the query before.
+func TestBlowupRegularDoubles(t *testing.T) {
+	world := workload.BlowupWorld()
+	r := NewRefiner(workload.BlowupSigma, nil)
+	var sizes []int
+	for _, q := range workload.BlowupWorkload(7) {
+		if _, err := r.ObserveOn(world, q); err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, r.Tree().Size())
+	}
+	for i := 2; i < len(sizes); i++ {
+		if d, prev := sizes[i]-sizes[i-1], sizes[i-1]-sizes[i-2]; d != 2*prev {
+			t.Errorf("query %d grew the tree by %d after %d, want twice as much (sizes %v)",
+				i+1, d, prev, sizes)
+		}
+	}
+}
+
 // TestLinearChainStaysPolynomial asserts the Lemma 3.12 shape as a test,
 // not just a benchmark: the compacted representation after n linear
-// queries is bounded by a modest polynomial in n.
+// queries is bounded by a modest polynomial in n. On the E15 benchmark's
+// chain the growth per query stays flat: queries 9-16 add at most 1.5× the
+// per-query growth of queries 5-8, where a doubling chain would add 16×.
 func TestLinearChainStaysPolynomial(t *testing.T) {
 	ty := workload.CatalogType()
 	doc := workload.RandomCatalog(6, 9)
@@ -319,6 +343,21 @@ func TestLinearChainStaysPolynomial(t *testing.T) {
 	limit := base + 40*n*n
 	if size > limit {
 		t.Errorf("linear chain size %d exceeds polynomial bound %d", size, limit)
+	}
+
+	doc = workload.RandomCatalog(8, 5)
+	r = NewRefiner(workload.CatalogSigma, ty)
+	sizes := map[int]int{}
+	for s := 0; s < 16; s++ {
+		if _, err := r.ObserveOn(doc, workload.RandomLinearQuery(ty, int64(s), 3, 300)); err != nil {
+			t.Fatal(err)
+		}
+		sizes[s+1] = r.Tree().Size()
+	}
+	early := float64(sizes[8]-sizes[4]) / 4
+	late := float64(sizes[16]-sizes[8]) / 8
+	if late > 1.5*early {
+		t.Errorf("E15 chain: %.1f per query over queries 9-16 after %.1f over 5-8 (sizes %v)", late, early, sizes)
 	}
 }
 

@@ -148,45 +148,38 @@ func TestStatsAgreesWithMetrics(t *testing.T) {
 	}
 }
 
-// TestE20MetricsOverhead is the E20 smoke check (EXPERIMENTS.md): serving
-// latency with the full metrics/tracing pipeline enabled must stay within
-// 5% of the no-op recorder baseline at p99, plus a small absolute slack
-// because 5% of a sub-millisecond p99 is below scheduler noise. Both
-// servers are built first, and blocks of requests alternate between the
-// two sides, so a burst of CPU contention lands on both samples instead of
-// on whichever side happened to run during it. The real E20 numbers are
-// produced by cmd/benchrobust into BENCH_robustness.json; this test keeps
-// the property from regressing silently.
-func TestE20MetricsOverhead(t *testing.T) {
-	// n*99/100 must fall below n-1, so the p99 is not simply the slowest
-	// sample: n = 200 reads index 198.
-	n, block := 400, 20
-	if testing.Short() {
-		n, block = 200, 10
-	}
+// e20P99 serves n warm /local requests on each of two in-process servers,
+// one with the full metrics/tracing pipeline and one with the no-op
+// recorder, and returns each side's p99. Both servers are built first, and
+// blocks of requests alternate between the two sides, so a burst of CPU
+// contention lands on both samples instead of on whichever side happened
+// to run during it. n*99/100 must fall below n-1, so the p99 is not simply
+// the slowest sample.
+func e20P99(tb testing.TB, n, block int) (disabled, enabled time.Duration) {
+	tb.Helper()
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 	handlers := map[bool]http.Handler{}
 	lat := map[bool][]time.Duration{}
-	for _, enabled := range []bool{false, true} {
-		s, err := New(Config{Timeout: 5 * time.Second, Budget: 50_000, Trace: enabled})
+	for _, on := range []bool{false, true} {
+		s, err := New(Config{Timeout: 5 * time.Second, Budget: 50_000, Trace: on})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		handlers[enabled] = s.Handler()
+		handlers[on] = s.Handler()
 		for i := 0; i < 10; i++ { // warm caches and code paths
-			post(t, handlers[enabled], "/local", catalogBody)
+			post(tb, handlers[on], "/local", catalogBody)
 		}
 	}
 	for len(lat[true]) < n {
-		for _, enabled := range []bool{false, true} {
-			obs.SetEnabled(enabled)
+		for _, on := range []bool{false, true} {
+			obs.SetEnabled(on)
 			for i := 0; i < block; i++ {
 				start := time.Now()
-				rec := post(t, handlers[enabled], "/local", catalogBody)
-				lat[enabled] = append(lat[enabled], time.Since(start))
+				rec := post(tb, handlers[on], "/local", catalogBody)
+				lat[on] = append(lat[on], time.Since(start))
 				if rec.Code != 200 {
-					t.Fatalf("local request failed: %d", rec.Code)
+					tb.Fatalf("local request failed: %d", rec.Code)
 				}
 			}
 		}
@@ -195,13 +188,41 @@ func TestE20MetricsOverhead(t *testing.T) {
 		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
 		return d[n*99/100]
 	}
-	disabled, enabled := p99(lat[false]), p99(lat[true])
+	return p99(lat[false]), p99(lat[true])
+}
+
+// TestE20MetricsOverhead is the E20 gate (EXPERIMENTS.md): serving latency
+// with the full metrics/tracing pipeline enabled must stay within 5% of the
+// no-op recorder baseline at p99, plus a small absolute slack because 5% of
+// a sub-millisecond p99 is below scheduler noise. BenchmarkE20MetricsOverhead
+// records the same two p99s in BENCH_shapes.json.
+func TestE20MetricsOverhead(t *testing.T) {
+	n, block := 400, 20
+	if testing.Short() {
+		n, block = 200, 10
+	}
+	disabled, enabled := e20P99(t, n, block)
 	slack := 2 * time.Millisecond
 	limit := time.Duration(float64(disabled)*1.05) + slack
 	if enabled > limit {
 		t.Errorf("E20: p99 with metrics %v exceeds baseline %v * 1.05 + %v", enabled, disabled, slack)
 	}
 	t.Logf("E20: p99 enabled=%v disabled=%v (limit %v, n=%d)", enabled, disabled, limit, n)
+}
+
+// BenchmarkE20MetricsOverhead is the E20 measurement: one iteration is the
+// test's full 400-request-per-side comparison, reported as the two p99s and
+// their ratio.
+func BenchmarkE20MetricsOverhead(b *testing.B) {
+	var off, on time.Duration
+	for i := 0; i < b.N; i++ {
+		d, e := e20P99(b, 400, 20)
+		off += d
+		on += e
+	}
+	b.ReportMetric(float64(off)/float64(b.N)/1e6, "p99_off_ms")
+	b.ReportMetric(float64(on)/float64(b.N)/1e6, "p99_on_ms")
+	b.ReportMetric(float64(on)/float64(off), "p99_ratio")
 }
 
 // TestExploreTraceReportsFold: every acquisition shares one fold tail, so

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
+func post(t testing.TB, h http.Handler, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest("POST", path, strings.NewReader(body))
 	rec := httptest.NewRecorder()

@@ -523,15 +523,6 @@ type Scatter struct {
 	Certificate *certify.Certificate
 }
 
-// ByName returns the answer for a source, or nil.
-func (s *Scatter) ByName(source string) *SourceAnswer {
-	i := sort.Search(len(s.Answers), func(i int) bool { return s.Answers[i].Source >= source })
-	if i < len(s.Answers) && s.Answers[i].Source == source {
-		return &s.Answers[i]
-	}
-	return nil
-}
-
 // ScatterComplete answers q completely on every registered source: the
 // fan-out is parallel across shards (one sub-request per shard, on the
 // scatter pool) and sequential within a shard. A down shard degrades

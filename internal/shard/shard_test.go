@@ -186,9 +186,6 @@ func TestScatterCompleteExactAndOrdered(t *testing.T) {
 	if total, degraded := c.Scatters(); total != 1 || degraded != 0 {
 		t.Errorf("scatter counters = (%d, %d), want (1, 0)", total, degraded)
 	}
-	if s.ByName("src03") == nil || s.ByName("nope") != nil {
-		t.Error("ByName lookup broken")
-	}
 }
 
 // TestScatterDifferentialParallelVsSeq pins the parallel scatter

@@ -397,7 +397,7 @@ func (s *Store) Recover(wh *webhouse.Webhouse) (*Recovery, error) {
 // the shadow state.
 func (s *Store) applySnapshot(wh *webhouse.Webhouse, p *SnapshotPayload) error {
 	if p.HasDoc {
-		if err := wh.ReplayUpdate(p.Source, p.Doc); err != nil {
+		if err := wh.Update(p.Source, p.Doc); err != nil {
 			return err
 		}
 	}
@@ -423,9 +423,9 @@ func (s *Store) applyRecord(wh *webhouse.Webhouse, rec *record) error {
 	case recState:
 		return wh.RestoreKnowledge(rec.source, rec.knowledge, rec.steps, rec.lossy)
 	case recInvalidate:
-		return wh.ReplayInvalidate(rec.source)
+		return wh.Invalidate(rec.source)
 	case recUpdate:
-		return wh.ReplayUpdate(rec.source, rec.doc)
+		return wh.Update(rec.source, rec.doc)
 	}
 	return corruptf("bad record kind 0x%02x", rec.kind)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // quietLogf routes store warnings to the test log.
-func quietLogf(t *testing.T) func(string, ...any) {
+func quietLogf(t testing.TB) func(string, ...any) {
 	return func(format string, args ...any) { t.Logf(format, args...) }
 }
 
@@ -298,9 +298,6 @@ func TestCorruptSnapshotAfterRotationQuarantines(t *testing.T) {
 	}
 	if !r.Quarantined() {
 		t.Fatal("repository not flagged quarantined")
-	}
-	if qs := wh2.QuarantinedSources(); len(qs) != 1 || qs[0] != "catalog" {
-		t.Fatalf("QuarantinedSources = %v", qs)
 	}
 	// Pristine knowledge: serves degraded-but-sound answers.
 	fresh := newCatalogHouse(t)

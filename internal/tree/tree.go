@@ -132,23 +132,6 @@ func (t Tree) IDs() map[NodeID]bool {
 	return out
 }
 
-// Parents returns a map from each node id to its parent node (root maps to
-// nil).
-func (t Tree) Parents() map[NodeID]*Node {
-	out := map[NodeID]*Node{}
-	var rec func(n, parent *Node)
-	rec = func(n, parent *Node) {
-		out[n.ID] = parent
-		for _, c := range n.Children {
-			rec(c, n)
-		}
-	}
-	if t.Root != nil {
-		rec(t.Root, nil)
-	}
-	return out
-}
-
 // Clone returns a deep copy sharing no nodes with t.
 func (t Tree) Clone() Tree {
 	var rec func(*Node) *Node
@@ -446,13 +429,6 @@ func (t Tree) String() string {
 	}
 	rec(t.Root, 0)
 	return b.String()
-}
-
-// Labels returns the set of labels used in the tree.
-func (t Tree) Labels() map[Label]bool {
-	out := map[Label]bool{}
-	t.Walk(func(n *Node) { out[n.Label] = true })
-	return out
 }
 
 // Validate checks structural invariants: no duplicate node ids and no nil

@@ -324,32 +324,6 @@ func TestQuickPrefixOnIsPrefix(t *testing.T) {
 	}
 }
 
-func TestParents(t *testing.T) {
-	tr := catalogAnswer()
-	ps := tr.Parents()
-	if ps["cat0"] != nil {
-		t.Error("root has a parent")
-	}
-	if p := ps["p1.price"]; p == nil || p.ID != "p1" {
-		t.Errorf("parent of p1.price = %v", p)
-	}
-	if len(Empty().Parents()) != 0 {
-		t.Error("empty tree has parents")
-	}
-}
-
-func TestLabels(t *testing.T) {
-	got := catalogAnswer().Labels()
-	for _, l := range []Label{"catalog", "product", "name", "price", "cat", "subcat"} {
-		if !got[l] {
-			t.Errorf("missing label %s", l)
-		}
-	}
-	if got["picture"] {
-		t.Error("phantom label")
-	}
-}
-
 func TestEqualDuplicateSiblingIDs(t *testing.T) {
 	// Degenerate duplicate-id siblings force the matching-based fallback.
 	a := Tree{Root: NewID("r", "root", rat.Zero,

@@ -1,7 +1,6 @@
 package webhouse
 
 import (
-	"sort"
 	"sync"
 
 	"incxml/internal/budget"
@@ -144,36 +143,6 @@ func (wh *Webhouse) RestoreKnowledge(source string, knowledge *itree.T, steps in
 	return nil
 }
 
-// ReplayInvalidate is Invalidate without re-journaling, for recovery.
-func (wh *Webhouse) ReplayInvalidate(source string) error {
-	r, err := wh.Repo(source)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.resetLocked()
-	return nil
-}
-
-// ReplayUpdate is Update without re-journaling, for recovery. The
-// replacement document is validated against the source type exactly as a
-// live Update would; a validation failure tells the recovery layer the
-// persisted document no longer matches the registered source.
-func (wh *Webhouse) ReplayUpdate(source string, doc tree.Tree) error {
-	r, err := wh.Repo(source)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.Source.Update(doc); err != nil {
-		return err
-	}
-	r.resetLocked()
-	return nil
-}
-
 // resetLocked reinitializes the knowledge to the source type. Caller holds
 // r.mu for writing.
 func (r *Repository) resetLocked() {
@@ -199,20 +168,6 @@ func (wh *Webhouse) Quarantine(source string) error {
 
 // Quarantined reports whether recovery quarantined this repository.
 func (r *Repository) Quarantined() bool { return r.quarantined.Load() }
-
-// QuarantinedSources lists the sources recovery quarantined, sorted.
-func (wh *Webhouse) QuarantinedSources() []string {
-	wh.mu.RLock()
-	var out []string
-	for name, r := range wh.repos {
-		if r.quarantined.Load() {
-			out = append(out, name)
-		}
-	}
-	wh.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
 
 // journalState is the journal attachment point; it lives on the Webhouse
 // but is declared here with the rest of the durability surface.

@@ -31,12 +31,14 @@ go test -race ./...
 # E20 smoke (EXPERIMENTS.md): the metrics/tracing pipeline must not cost
 # more than 5% of p99 serving latency. Short mode keeps the gate fast;
 # three runs make a noisy estimator fail the gate rather than pass it by
-# luck. cmd/benchrobust produces the full-size numbers.
+# luck. BenchmarkE20MetricsOverhead (bash scripts/bench.sh) records the
+# full-size numbers in BENCH_shapes.json.
 go test ./internal/serve/ -run TestE20MetricsOverhead -short -count=3
 
 # E21 smoke (EXPERIMENTS.md): the pruned certificate search must keep the
 # blowup family exactly decided at the benchmark budget well past the old
-# n=6 crossover. cmd/benchrobust produces the full crossover table.
+# n=6 crossover. BenchmarkEmptyScanBlowup (bash scripts/bench.sh) records the
+# steps of the whole n=1..12 sweep.
 go test ./internal/conj/ -run TestE21CrossoverSmoke -short -count=1
 
 # E22 smoke (EXPERIMENTS.md): the parallel scatter must beat the sequential
@@ -51,15 +53,15 @@ go test ./internal/shard/ -run '^$' -bench BenchmarkE22 -benchtime 1x
 # overclaim — random outage instances, the certified sub-query's answer over
 # every certain fragment must equal its answer over the world. The full
 # 200-round pass runs in the plain suite; -short trims it here since the
-# race run above already covered it. cmd/benchrobust produces the ratio
-# distribution.
+# race run above already covered it. BenchmarkE23CertificateSoak (bash
+# scripts/bench.sh) records the ratio distribution.
 go test ./internal/shard/ -run TestCertificateSoundnessSoak -short -count=1
 
 # E24 smoke (EXPERIMENTS.md): crash-recovery must reproduce the exact
 # pre-crash state — a trimmed run of the fault-injection soak (truncated,
 # bit-flipped and torn WAL tails against the shadow oracle). The full
-# 220-round pass runs in the plain suite above; cmd/benchrobust produces
-# the durability cost numbers.
+# 220-round pass runs in the plain suite above; the BenchmarkE24* benchmarks
+# (bash scripts/bench.sh) record the durability costs.
 go test ./internal/store/ -run TestCrashRecoverySoak -short -count=1
 
 # E25 smoke (EXPERIMENTS.md): a small generated traffic stream — zipfian
