@@ -65,14 +65,14 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "   answer: %d nodes\n", a1.Size())
+	fmt.Fprintf(w, "   answer: %d nodes\n", a1.Answer.Size())
 
 	fmt.Fprintln(w, "== exploring: Query 2 (pictured cameras, pictures extracted)")
 	a2, err := wh.Explore(ctx, "catalog", workload.Query2())
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "   answer: %d nodes\n", a2.Size())
+	fmt.Fprintf(w, "   answer: %d nodes\n", a2.Answer.Size())
 
 	know, err := wh.Knowledge("catalog")
 	if err != nil {

@@ -43,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s: query 1 returned %d nodes\n", name, a.Size())
+		fmt.Printf("%s: query 1 returned %d nodes\n", name, a.Answer.Size())
 	}
 
 	// Ask each source: do you certainly have a camera under $150?

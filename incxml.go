@@ -92,6 +92,9 @@ type (
 	Source = webhouse.Source
 	// LocalAnswer is the result of answering from local knowledge only.
 	LocalAnswer = webhouse.LocalAnswer
+	// ExactAnswer is the result of Explore: the source's answer with its
+	// full completeness certificate.
+	ExactAnswer = webhouse.ExactAnswer
 	// CompleteAnswer is the result of AnswerComplete: exact when the source
 	// was reachable, a flagged Theorem 3.14 approximation when it was not.
 	CompleteAnswer = webhouse.CompleteAnswer

@@ -15,14 +15,16 @@ const MemoLimit = 4096
 
 // The memo kinds, declared here once so that no two packages storing on the
 // same tree collide. The first three hold the answer package's Corollary
-// 3.15/3.18 verdicts (bool), the last two the webhouse's local and extended
-// answers.
+// 3.15/3.18 verdicts (bool); the last three the webhouse's local and
+// extended answers and its certified answers: q(data(T)) with its full
+// certificate, stored only once the tree certifies q fully answerable.
 const (
 	MemoFully uint8 = iota
 	MemoCertainlyNonEmpty
 	MemoPossiblyNonEmpty
 	MemoLocal
 	MemoExtended
+	MemoCertified
 	memoKinds
 )
 

@@ -257,8 +257,8 @@ func entry(q query.Query, a any) (SourceEnvelope, error) {
 	var se SourceEnvelope
 	var doc tree.Tree
 	switch a := a.(type) {
-	case tree.Tree: // an exploration returns the source's exact answer
-		doc, se.Completeness = a, completenessOf(certify.Exact(q, a))
+	case *webhouse.ExactAnswer: // an exploration returns the source's exact answer
+		doc, se.Completeness = a.Answer, completenessOf(a.Certificate)
 	case outageAnswer: // ... or, the source down, the certified local one
 		doc, se.Completeness = a.local.Exact, completenessOf(a.local.Certificate)
 		se.Degraded, se.Cause = true, a.cause.Error()

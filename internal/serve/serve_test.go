@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"incxml/internal/obs"
 )
 
 func post(t testing.TB, h http.Handler, path, body string) *httptest.ResponseRecorder {
@@ -251,3 +254,69 @@ func TestExploreOutageServesCertified(t *testing.T) {
 		t.Fatalf("uncertified explore during the outage: %d, want 503 (%s)", rec.Code, rec.Body)
 	}
 }
+
+// TestRedundantExploreEnvelope: re-posing an explored query is a
+// redundant observation, answered from the certified answer memoized on the
+// knowledge snapshot. Its envelope is byte for byte the one the first
+// /explore rendered from the source's own answer.
+func TestRedundantExploreEnvelope(t *testing.T) {
+	s, err := New(Config{Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	redundant := func() float64 {
+		return obs.Default().Snapshot()[`incxml_refine_observe_total{outcome="redundant"}`]
+	}
+	first := post(t, h, "/explore", catalogBody)
+	know, err := s.Cluster().Knowledge("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := redundant()
+	again := post(t, h, "/explore", catalogBody)
+	if first.Code != http.StatusOK || again.Code != http.StatusOK {
+		t.Fatalf("explore: %d then %d (%s)", first.Code, again.Code, again.Body)
+	}
+	if redundant() != before+1 {
+		t.Fatal("the re-posed exploration was not a redundant observation")
+	}
+	if got, _ := s.Cluster().Knowledge("catalog"); got != know {
+		t.Fatal("the redundant observation replaced the snapshot")
+	}
+	if !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
+		t.Errorf("redundant /explore envelope\n%s\ndiffers from the source-answer envelope\n%s", again.Body, first.Body)
+	}
+}
+
+// benchPost measures one route's whole handler — decode, answer, envelope
+// rendering and JSON encoding — on a memo hit: an /explore of catalogBody
+// first certifies that query fully answerable, and one warm-up request of
+// path fills the memo.
+func benchPost(b *testing.B, path string) {
+	s, err := New(Config{Timeout: 2 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	for _, p := range []string{"/explore", path} {
+		if rec := post(b, h, p, catalogBody); rec.Code != http.StatusOK {
+			b.Fatalf("warm-up %s: %d (%s)", p, rec.Code, rec.Body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := post(b, h, path, catalogBody); rec.Code != http.StatusOK {
+			b.Fatalf("%s: %d (%s)", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkServeLocalHit is a /local served from the answer memoized on the
+// knowledge snapshot.
+func BenchmarkServeLocalHit(b *testing.B) { benchPost(b, "/local") }
+
+// BenchmarkServeCompleteCertified is a /complete the knowledge certifies
+// (Corollary 3.15), served from the snapshot's certified answer.
+func BenchmarkServeCompleteCertified(b *testing.B) { benchPost(b, "/complete") }

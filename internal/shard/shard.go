@@ -390,8 +390,8 @@ func extOp(ctx context.Context, q extquery.Query) op {
 
 // Explore routes an acquisition query to the source's shard; a failed
 // exploration counts as degraded.
-func (c *Cluster) Explore(ctx context.Context, source string, q query.Query) (tree.Tree, error) {
-	var a tree.Tree
+func (c *Cluster) Explore(ctx context.Context, source string, q query.Query) (*webhouse.ExactAnswer, error) {
+	var a *webhouse.ExactAnswer
 	_, err := c.route(source, func(wh *webhouse.Webhouse, _ *SourceAnswer) (err error) {
 		a, err = wh.Explore(ctx, source, q)
 		return err

@@ -3,6 +3,7 @@ package webhouse
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -388,6 +389,9 @@ func hammerSharedSnapshot(t *testing.T, wh *Webhouse) {
 // fails this. The writer moves between two knowledge states, bare and
 // explored, which answer both queries differently; the fresh answers of
 // each are computed once, on an unmarked Clone, before the hammer starts.
+// The certified answers are checked the same way: on the explored state a
+// reader's AnswerComplete of the explored query, and every Explore of the
+// writer, must serve q(data(T)) and its certify.Exact certificate.
 func TestMemoizedAnswersMatchTheirSnapshot(t *testing.T) {
 	wh, _ := newCatalogWebhouse(t)
 	ctx := context.Background()
@@ -399,6 +403,8 @@ func TestMemoizedAnswersMatchTheirSnapshot(t *testing.T) {
 		ext   *ExtendedAnswer
 	}
 	var want [2]fresh // by explored
+	cq := workload.Query1(200)
+	var exact *ExactAnswer // fresh on the explored state
 	for i := range want {
 		if i == 1 {
 			if _, err := wh.Explore(ctx, "catalog", workload.Query1(200)); err != nil {
@@ -415,13 +421,23 @@ func TestMemoizedAnswersMatchTheirSnapshot(t *testing.T) {
 		if want[i].ext, err = wh.computeExtended(ctx, know.Clone(), eq); err != nil {
 			t.Fatal(err)
 		}
+		if i == 1 {
+			a := cq.Eval(know.Clone().DataTree())
+			exact = &ExactAnswer{Answer: a, Certificate: certify.Exact(cq, a)}
+		}
+	}
+	sameExact := func(ex *ExactAnswer) error {
+		if !ex.Answer.Equal(exact.Answer) || !reflect.DeepEqual(ex.Certificate, exact.Certificate) {
+			return fmt.Errorf("certified answer %v %+v, fresh %v %+v", ex.Answer, ex.Certificate, exact.Answer, exact.Certificate)
+		}
+		return nil
 	}
 	if want[0].local.FullyV == want[1].local.FullyV || want[0].ext.Known.Equal(want[1].ext.Known) {
 		t.Fatal("the two knowledge states answer alike: the test would see no stale answer")
 	}
 
-	var checked atomic.Int64
-	read := func() error {
+	var checked, certifiedChecked atomic.Int64
+	read := func(complete bool) error {
 		before, err := wh.Knowledge("catalog")
 		if err != nil {
 			return err
@@ -433,6 +449,16 @@ func TestMemoizedAnswersMatchTheirSnapshot(t *testing.T) {
 		ea, err := wh.AnswerExtended(ctx, "catalog", eq)
 		if err != nil {
 			return err
+		}
+		var ca *CompleteAnswer
+		if complete && before.DataTree().Root != nil {
+			// Certified on the explored state; should the writer reset it
+			// meanwhile, the completion folds cq and the check is skipped.
+			// Only one reader completes, so that these folds do not cut
+			// the bare state short for the others.
+			if ca, err = wh.AnswerComplete(ctx, "catalog", cq); err != nil {
+				return err
+			}
 		}
 		if after, err := wh.Knowledge("catalog"); err != nil || after != before {
 			return err // a nil error: the snapshot moved, so this read is not checked
@@ -448,11 +474,21 @@ func TestMemoizedAnswersMatchTheirSnapshot(t *testing.T) {
 		if !ea.Known.Equal(w.ext.Known) || ea.ExactV != w.ext.ExactV {
 			return fmt.Errorf("extended answer %+v, fresh on its snapshot %+v", ea, w.ext)
 		}
+		if ca != nil {
+			if ca.LocalQueries != 0 {
+				return fmt.Errorf("the explored state did not certify %v", cq)
+			}
+			if err := sameExact(&ExactAnswer{Answer: ca.Answer, Certificate: ca.Certificate}); err != nil {
+				return err
+			}
+			certifiedChecked.Add(1)
+		}
 		checked.Add(1)
 		return nil
 	}
 
 	stop := make(chan struct{})
+	var explored []*ExactAnswer // the writer's, checked once it stopped
 	var writer sync.WaitGroup
 	writer.Add(1)
 	go func() {
@@ -467,7 +503,9 @@ func TestMemoizedAnswersMatchTheirSnapshot(t *testing.T) {
 			if i%2 == 0 {
 				err = wh.Invalidate("catalog")
 			} else {
-				_, err = wh.Explore(ctx, "catalog", workload.Query1(200))
+				var ex *ExactAnswer
+				ex, err = wh.Explore(ctx, "catalog", cq)
+				explored = append(explored, ex)
 			}
 			if err != nil {
 				t.Error(err)
@@ -483,7 +521,7 @@ func TestMemoizedAnswersMatchTheirSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if err := read(); err != nil {
+				if err := read(g == 0); err != nil {
 					errc <- err
 					return
 				}
@@ -493,13 +531,19 @@ func TestMemoizedAnswersMatchTheirSnapshot(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	writer.Wait()
+	for _, ex := range explored {
+		if err := sameExact(ex); err != nil {
+			t.Error(err)
+			break
+		}
+	}
 	close(errc)
 	for err := range errc {
 		t.Error(err)
 	}
 	// Quiescent, every read checks: at least one comparison always runs.
-	if err := read(); err != nil {
+	if err := read(true); err != nil {
 		t.Error(err)
 	}
-	t.Logf("%d reads compared against their snapshot", checked.Load())
+	t.Logf("%d reads compared against their snapshot, %d with a certified answer", checked.Load(), certifiedChecked.Load())
 }

@@ -115,7 +115,7 @@ func (wh *Webhouse) ReplayObserve(source string, q query.Query, a tree.Tree) err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, err = r.foldLocked(q, a, func() *budget.B { return nil })
+	_, _, err = r.foldLocked(q, a, func() *budget.B { return nil })
 	return err
 }
 

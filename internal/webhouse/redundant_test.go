@@ -44,8 +44,8 @@ func TestRedundantExploreKeepsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.Equal(first) {
-		t.Fatalf("re-posed query answered %v, first answer %v", again, first)
+	if !again.Answer.Equal(first.Answer) {
+		t.Fatalf("re-posed query answered %v, first answer %v", again.Answer, first.Answer)
 	}
 	if got, _ := wh.Knowledge("catalog"); got != know {
 		t.Error("a redundant observation replaced the knowledge snapshot")
@@ -103,7 +103,7 @@ func TestCertifiedQueryWithChangedAnswerRefolds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exploration after the source change: %v", err)
 	}
-	if a.Equal(q.Eval(know.DataTree())) {
+	if a.Answer.Equal(q.Eval(know.DataTree())) {
 		t.Fatal("the changed source gave the known answer; the test needs a different one")
 	}
 	if observed("redundant") != redundant {

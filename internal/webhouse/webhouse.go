@@ -24,10 +24,11 @@
 // Each repository guards its refinement state with an RWMutex so many
 // readers (AnswerLocally, AnswerExtended, Knowledge) proceed in parallel
 // while acquisition (Explore, AnswerComplete, Invalidate, Update) is
-// exclusive; no lock is held across source I/O. Local and extended answers
-// are memoized on the knowledge snapshot they were computed from, under the
-// query's canonical string: a fold replaces the snapshot, so a stored answer
-// is never served once the knowledge has changed.
+// exclusive; no lock is held across source I/O. Local and extended answers,
+// and the certified answers of fully answerable queries, are memoized on the
+// knowledge snapshot they were computed from, under the query's canonical
+// string: a fold replaces the snapshot, so a stored answer is never served
+// once the knowledge has changed.
 package webhouse
 
 import (
@@ -335,72 +336,103 @@ func (wh *Webhouse) Stats() Stats {
 // A redundant observation is not folded: when the knowledge snapshot
 // certifies q fully answerable and a is q(data(T)), every world of rep(T)
 // already answers a, so rep(Refine(T, q, a)) = rep(T) (Corollary 3.15) and
-// the refiner, its snapshot and the answers memoized on it are kept. The
-// verdict is the exact one, never a budgeted Unknown, so that live folds
-// and recovery's replay of the same journal skip the same observations. A
+// the refiner, its snapshot and the answers memoized on it are kept; the
+// snapshot's certified answer is then returned as redundant. The verdict is
+// the exact one, never a budgeted Unknown, so that live folds and
+// recovery's replay of the same journal skip the same observations. A
 // refiner that has observed nothing yet is not checked: it knows no data to
 // certify an answer from.
-func (r *Repository) foldLocked(q query.Query, a tree.Tree, bud func() *budget.B) (degraded bool, err error) {
+func (r *Repository) foldLocked(q query.Query, a tree.Tree, bud func() *budget.B) (redundant *ExactAnswer, degraded bool, err error) {
 	if r.refiner.Steps() > 0 {
-		if ans, ok, _ := certified(r.refiner.Reachable(), q, nil); ok && ans.Equal(a) {
+		if ex, _ := certified(r.refiner.Reachable(), q, nil); ex != nil && ex.Answer.Equal(a) {
 			refine.CountRedundant()
-			return false, nil
+			return ex, false, nil
 		}
 	}
 	degraded, err = r.refiner.ObserveBudgeted(q, a, bud())
 	if !errors.Is(err, refine.ErrInconsistent) {
-		return degraded, err
+		return nil, degraded, err
 	}
 	fresh := refine.NewRefiner(r.Source.Type.Alphabet(), r.Source.Type)
 	if degraded, err = fresh.ObserveBudgeted(q, a, bud()); err == nil {
 		r.refiner = fresh
 	}
-	return degraded, err
+	return nil, degraded, err
+}
+
+// ExactAnswer is an answer known to be exact, with its full completeness
+// certificate (certify.Exact): the source's own answer to an acquisition,
+// or q(data(T)) on knowledge that certifies q fully answerable. The
+// certified ones are memoized on the knowledge snapshot and shared by every
+// caller: treat them as read-only.
+type ExactAnswer struct {
+	Answer      tree.Tree
+	Certificate *certify.Certificate
 }
 
 // certified is the Corollary 3.15 shortcut: when know certifies q fully
 // answerable under bud (nil: exact), every world of rep(T) answers
-// q(data(T)), so that answer is exact without the source. Only a Yes
-// counts; err is the decider's, and the verdict is memoized on a marked
-// snapshot.
-func certified(know *itree.T, q query.Query, bud *budget.B) (ans tree.Tree, ok bool, err error) {
+// q(data(T)), so that answer is exact without the source. It returns nil
+// unless the verdict is Yes; err is the decider's. A Yes is definite at any
+// budget, so the answer and its certificate are a function of the snapshot
+// and q alone: they are built once per marked snapshot and query and
+// memoized on it (itree.MemoCertified).
+func certified(know *itree.T, q query.Query, bud *budget.B) (*ExactAnswer, error) {
+	key := q.String()
+	if v, ok := know.Recall(itree.MemoCertified, key); ok {
+		return v.(*ExactAnswer), nil
+	}
 	fully, err := answer.FullyAnswerableBudgeted(know, q, bud)
 	if fully != budget.Yes {
-		return tree.Tree{}, false, err
+		return nil, err
 	}
-	return q.Eval(know.DataTree()), true, nil
+	ans := q.Eval(know.DataTree())
+	ex := &ExactAnswer{Answer: ans, Certificate: certify.Exact(q, ans)}
+	know.Remember(itree.MemoCertified, key, ex)
+	return ex, nil
 }
 
 // errReset reports that a reset replaced the refiner a completion's
 // knowledge snapshot came from before its answer could be folded.
 var errReset = errors.New("webhouse: knowledge reset since the snapshot")
 
-// fold is the tail every acquisition shares. Under r's write lock and the
-// request's fold stage, it folds the answer a of q into r (foldLocked) under
-// the webhouse budget and journals the observation. On exhaustion the
-// refiner degrades to the Proposition 3.13 lossy shrink rather than
-// dropping the (already paid-for) source answer, so acquisition never fails
-// on budget grounds — it merely coarsens. A non-nil from is the refiner the
-// caller's snapshot came from: when Invalidate, Update, RestoreKnowledge or
-// the inconsistency recovery has replaced it since, nothing is folded and
-// errReset is returned.
-func (wh *Webhouse) fold(ctx context.Context, r *Repository, from *refine.Refiner, q query.Query, a tree.Tree) error {
+// fold is the tail every acquisition shares. It folds the answer a of q
+// into r (foldIn) and returns a as an exact answer: the snapshot's memoized
+// certified answer, which equals a, when the observation was redundant, and
+// otherwise a with a certificate built here, outside r's lock.
+func (wh *Webhouse) fold(ctx context.Context, r *Repository, from *refine.Refiner, q query.Query, a tree.Tree) (*ExactAnswer, error) {
+	redundant, err := wh.foldIn(ctx, r, from, q, a)
+	if err != nil || redundant != nil {
+		return redundant, err
+	}
+	return &ExactAnswer{Answer: a, Certificate: certify.Exact(q, a)}, nil
+}
+
+// foldIn, under r's write lock and the request's fold stage, folds the
+// answer a of q into r (foldLocked) under the webhouse budget and journals
+// the observation. On exhaustion the refiner degrades to the Proposition
+// 3.13 lossy shrink rather than dropping the (already paid-for) source
+// answer, so acquisition never fails on budget grounds — it merely
+// coarsens. A non-nil from is the refiner the caller's snapshot came from:
+// when Invalidate, Update, RestoreKnowledge or the inconsistency recovery
+// has replaced it since, nothing is folded and errReset is returned.
+func (wh *Webhouse) foldIn(ctx context.Context, r *Repository, from *refine.Refiner, q query.Query, a tree.Tree) (redundant *ExactAnswer, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if from != nil && r.refiner != from {
-		return errReset
+		return nil, errReset
 	}
 	defer obs.FromContext(ctx).Stage("fold")(0)
-	degraded, err := r.foldLocked(q, a, func() *budget.B { return wh.newBudget(ctx) })
+	redundant, degraded, err := r.foldLocked(q, a, func() *budget.B { return wh.newBudget(ctx) })
 	if degraded {
 		wh.lossyFallbacks.Add(1)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	wh.journalRecord(JournalEvent{Kind: EventObserve, Source: r.Source.Name, Query: q, Answer: a,
 		Knowledge: r.refiner.Tree(), Steps: r.refiner.Steps(), Lossy: r.refiner.Lossy()})
-	return nil
+	return redundant, nil
 }
 
 // Explore poses a ps-query to the source and folds the answer into the
@@ -409,25 +441,24 @@ func (wh *Webhouse) fold(ctx context.Context, r *Repository, from *refine.Refine
 // source never blocks concurrent readers; the context's deadline bounds
 // the call, retries included. An informative fold replaces the knowledge
 // snapshot, and with it every answer memoized on the old one; a redundant
-// one keeps both (foldLocked), and is journaled all the same. When the
-// source is unavailable the returned error wraps faulty.ErrUnavailable and
-// the knowledge is left unchanged — acquisition, unlike AnswerComplete, has
-// no approximate fallback.
-func (wh *Webhouse) Explore(ctx context.Context, source string, q query.Query) (tree.Tree, error) {
+// one keeps both (foldLocked), and is journaled all the same. The source's
+// answer is returned with its full certificate; after a redundant
+// observation both are the snapshot's memoized certified answer, which is
+// tree.Equal to the source's. When the source is unavailable the returned
+// error wraps faulty.ErrUnavailable and the knowledge is left unchanged —
+// acquisition, unlike AnswerComplete, has no approximate fallback.
+func (wh *Webhouse) Explore(ctx context.Context, source string, q query.Query) (*ExactAnswer, error) {
 	r, err := wh.Repo(source)
 	if err != nil {
-		return tree.Tree{}, err
+		return nil, err
 	}
 	endSource := obs.FromContext(ctx).Stage("source")
 	a, err := r.Client().Ask(ctx, q)
 	endSource(0)
 	if err != nil {
-		return tree.Tree{}, fmt.Errorf("webhouse: explore %q: %w", source, err)
+		return nil, fmt.Errorf("webhouse: explore %q: %w", source, err)
 	}
-	if err := wh.fold(ctx, r, nil, q, a); err != nil {
-		return tree.Tree{}, err
-	}
-	return a, nil
+	return wh.fold(ctx, r, nil, q, a)
 }
 
 // Knowledge returns the reachable incomplete tree for the source. The
@@ -791,10 +822,11 @@ func (wh *Webhouse) askWhole(ctx context.Context, r *Repository, client faulty.S
 		know, _ := r.snapshot()
 		return wh.degrade(ctx, know, q, 1, err)
 	}
-	if err := wh.fold(ctx, r, nil, q, a); err != nil {
+	ex, err := wh.fold(ctx, r, nil, q, a)
+	if err != nil {
 		return nil, err
 	}
-	return &CompleteAnswer{Answer: a, LocalQueries: 1, Certificate: certify.Exact(q, a)}, nil
+	return &CompleteAnswer{Answer: ex.Answer, LocalQueries: 1, Certificate: ex.Certificate}, nil
 }
 
 // AnswerComplete answers q exactly, contacting the source only as needed:
@@ -820,13 +852,13 @@ func (wh *Webhouse) AnswerComplete(ctx context.Context, source string, q query.Q
 	// is contacted, which is always sound, merely less frugal.
 	certBud := wh.newBudget(ctx)
 	endCertify := obs.FromContext(ctx).Stage("certify")
-	ans, ok, err := certified(know, q, certBud)
+	ex, err := certified(know, q, certBud)
 	endCertify(certBud.Used())
 	if err != nil && !errors.Is(err, budget.ErrExhausted) {
 		return nil, err
 	}
-	if ok {
-		return &CompleteAnswer{Answer: ans, Certificate: certify.Exact(q, ans)}, nil
+	if ex != nil {
+		return &CompleteAnswer{Answer: ex.Answer, Certificate: ex.Certificate}, nil
 	}
 	client := r.Client()
 	if know.DataTree().Root == nil {
@@ -848,9 +880,9 @@ func (wh *Webhouse) AnswerComplete(ctx context.Context, source string, q query.Q
 	// directly (with the usual recovery if the source changed since).
 	merged, err := mediator.Merge(know.DataTree(), answers...)
 	if err == nil {
-		result := q.Eval(merged)
-		if err = wh.fold(ctx, r, base, q, result); err == nil {
-			return &CompleteAnswer{Answer: result, LocalQueries: len(ls), Certificate: certify.Exact(q, result)}, nil
+		var ex *ExactAnswer
+		if ex, err = wh.fold(ctx, r, base, q, q.Eval(merged)); err == nil {
+			return &CompleteAnswer{Answer: ex.Answer, LocalQueries: len(ls), Certificate: ex.Certificate}, nil
 		}
 		if !errors.Is(err, errReset) {
 			return nil, err

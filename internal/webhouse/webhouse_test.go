@@ -44,7 +44,7 @@ func TestExploreAndKnowledge(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries, _ := src.Served()
-	if a.IsEmpty() || queries != 1 {
+	if a.Answer.IsEmpty() || queries != 1 {
 		t.Error("exploration did not reach the source")
 	}
 	know, err := wh.Knowledge("catalog")
@@ -178,7 +178,7 @@ func TestInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Find("canon.price") == nil || !a.Find("canon.price").Value.Equal(rat.FromInt(130)) {
+	if a.Answer.Find("canon.price") == nil || !a.Answer.Find("canon.price").Value.Equal(rat.FromInt(130)) {
 		t.Error("post-update exploration returned stale price")
 	}
 }

@@ -2,8 +2,9 @@ package xmlio
 
 import "testing"
 
-// FuzzUnmarshal checks the XML reader never panics and that accepted
-// documents round-trip through Marshal.
+// FuzzUnmarshal checks the XML reader never panics, that accepted
+// documents round-trip through Marshal, and that Marshal renders each of
+// them exactly as the encoding/xml reference does.
 func FuzzUnmarshal(f *testing.F) {
 	for _, seed := range []string{
 		`<a></a>`,
@@ -26,6 +27,9 @@ func FuzzUnmarshal(f *testing.F) {
 		printed, err := Marshal(doc)
 		if err != nil {
 			t.Fatalf("accepted document does not marshal: %v", err)
+		}
+		if want, err := reference(doc); err != nil || printed != want {
+			t.Fatalf("Marshal differs from encoding/xml (%v):\n got %q\nwant %q", err, printed, want)
 		}
 		again, err := Unmarshal(printed)
 		if err != nil {

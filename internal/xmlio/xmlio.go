@@ -8,6 +8,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -19,7 +20,7 @@ import (
 	"incxml/internal/tree"
 )
 
-// xmlNode is the wire representation of a data-tree node.
+// xmlNode is the decoded form of a data-tree node (Parse).
 type xmlNode struct {
 	XMLName  xml.Name
 	ID       string    `xml:"id,attr,omitempty"`
@@ -27,50 +28,143 @@ type xmlNode struct {
 	Children []xmlNode `xml:",any"`
 }
 
-func toXML(n *tree.Node) xmlNode {
-	out := xmlNode{
-		XMLName: xml.Name{Local: string(n.Label)},
-		ID:      string(n.ID),
-	}
-	if !n.Value.Equal(rat.Zero) {
-		out.Value = n.Value.String()
-	}
-	kids := append([]*tree.Node(nil), n.Children...)
-	sort.Slice(kids, func(i, j int) bool {
-		if kids[i].Label != kids[j].Label {
-			return kids[i].Label < kids[j].Label
-		}
-		return kids[i].ID < kids[j].ID
-	})
-	for _, c := range kids {
-		out.Children = append(out.Children, toXML(c))
-	}
-	return out
-}
-
-// Write serializes a data tree as indented XML. Node ids and nonzero values
-// become attributes.
+// Write serializes a data tree as indented XML (see Marshal).
 func Write(w io.Writer, t tree.Tree) error {
-	if t.Root == nil {
-		_, err := io.WriteString(w, "<empty/>\n")
+	s, err := Marshal(t)
+	if err != nil {
 		return err
 	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(toXML(t.Root)); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
+	_, err = io.WriteString(w, s)
 	return err
 }
 
-// Marshal returns the XML serialization of a data tree as a string.
+// Marshal returns the XML serialization of a data tree, newline-terminated:
+// one element per node, named by its label, with the node id and a nonzero
+// value as the id and value attributes, children in (label, id) order and
+// indented by two spaces per level, and <empty/> for the empty tree. The
+// output is the one encoding/xml's indenting encoder gives for the same
+// elements, escaping included. A node without a label is an error: no
+// element could name it.
 func Marshal(t tree.Tree) (string, error) {
-	var b strings.Builder
-	if err := Write(&b, t); err != nil {
+	if t.Root == nil {
+		return "<empty/>\n", nil
+	}
+	var w writer
+	w.b.Grow(512) // a typical answer's size: most are written without regrowing
+	if err := w.node(t.Root, 0); err != nil {
 		return "", err
 	}
-	return b.String(), nil
+	w.b.WriteByte('\n')
+	return w.b.String(), nil
+}
+
+// writer renders the elements of one data tree into b.
+type writer struct {
+	b strings.Builder
+	// kids stacks the sorted children of the nodes being written, so that
+	// sorting copies no slice of its own.
+	kids []*tree.Node
+}
+
+// node writes the element of n, at the given depth, and its children.
+func (w *writer) node(n *tree.Node, depth int) error {
+	if n.Label == "" {
+		return fmt.Errorf("xmlio: node %q has no label", n.ID)
+	}
+	w.b.WriteByte('<')
+	w.b.WriteString(string(n.Label))
+	if n.ID != "" {
+		w.b.WriteString(` id="`)
+		escape(&w.b, string(n.ID))
+		w.b.WriteByte('"')
+	}
+	if n.Value.Sign() != 0 {
+		// A rational's digits, sign and slash need no escaping.
+		var num [48]byte
+		w.b.WriteString(` value="`)
+		w.b.Write(n.Value.Append(num[:0]))
+		w.b.WriteByte('"')
+	}
+	w.b.WriteByte('>')
+	if len(n.Children) > 0 {
+		base := len(w.kids)
+		w.kids = append(w.kids, n.Children...)
+		kids := w.kids[base:]
+		slices.SortFunc(kids, func(a, b *tree.Node) int {
+			if c := strings.Compare(string(a.Label), string(b.Label)); c != 0 {
+				return c
+			}
+			return strings.Compare(string(a.ID), string(b.ID))
+		})
+		for _, c := range kids {
+			w.newline(depth + 1)
+			if err := w.node(c, depth+1); err != nil {
+				return err
+			}
+		}
+		w.kids = w.kids[:base]
+		w.newline(depth)
+	}
+	w.b.WriteString("</")
+	w.b.WriteString(string(n.Label))
+	w.b.WriteByte('>')
+	return nil
+}
+
+// newline starts a line indented to the given depth.
+func (w *writer) newline(depth int) {
+	w.b.WriteByte('\n')
+	for i := 0; i < depth; i++ {
+		w.b.WriteString("  ")
+	}
+}
+
+// escape writes s escaped as xml.EscapeText escapes it: the five markup
+// characters, tab, newline and carriage return become character
+// references, and invalid UTF-8 and runes outside the XML character range
+// become U+FFFD.
+func escape(b *strings.Builder, s string) {
+	last := 0
+	for i := 0; i < len(s); {
+		r, width := utf8.DecodeRuneInString(s[i:])
+		i += width
+		var esc string
+		switch r {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if isXMLChar(r) && (r != utf8.RuneError || width > 1) {
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		b.WriteString(s[last : i-width])
+		b.WriteString(esc)
+		last = i
+	}
+	b.WriteString(s[last:])
+}
+
+// isXMLChar reports whether r is in the XML 1.0 Char production.
+func isXMLChar(r rune) bool {
+	return r == 0x09 || r == 0x0A || r == 0x0D ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
 }
 
 // Parse reads a data tree from its XML serialization. Elements without an
@@ -166,7 +260,9 @@ func WriteIncomplete(w io.Writer, it *itree.T) error {
 		}
 		b.WriteString(">\n")
 		for _, atom := range disj {
-			fmt.Fprintf(&b, "      <atom>%s</atom>\n", xmlEscape(atomString(atom)))
+			b.WriteString("      <atom>")
+			escape(&b, atomString(atom))
+			b.WriteString("</atom>\n")
 		}
 		b.WriteString("    </symbol>\n")
 	}
@@ -189,9 +285,3 @@ func MarshalIncomplete(it *itree.T) (string, error) {
 }
 
 func atomString(a ctype.SAtom) string { return a.String() }
-
-func xmlEscape(s string) string {
-	var b strings.Builder
-	_ = xml.EscapeText(&b, []byte(s))
-	return b.String()
-}
