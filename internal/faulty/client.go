@@ -35,7 +35,8 @@ type RetryConfig struct {
 	// BreakerCooldown is how long an open breaker rejects calls before
 	// letting a probe through (default 1s).
 	BreakerCooldown time.Duration
-	// Seed seeds the jitter RNG.
+	// Seed seeds the jitter RNG (on the first backoff, with the same
+	// sequence as seeding it at construction).
 	Seed int64
 }
 
@@ -192,6 +193,8 @@ type RetryClient struct {
 	cfg   RetryConfig
 	brk   breaker
 
+	// rngMu guards rng, the jitter source, which is seeded with cfg.Seed on
+	// the first backoff: a client that never retries never pays for it.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -212,7 +215,6 @@ func NewRetryClient(inner SourceClient, cfg RetryConfig) *RetryClient {
 		inner: inner,
 		cfg:   cfg,
 		brk:   breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		now:   time.Now,
 		sleep: sleepCtx,
 	}
@@ -255,6 +257,9 @@ func (c *RetryClient) backoff(retry int) time.Duration {
 	}
 	if j := c.cfg.JitterFrac; j > 0 {
 		c.rngMu.Lock()
+		if c.rng == nil {
+			c.rng = rand.New(rand.NewSource(c.cfg.Seed))
+		}
 		u := c.rng.Float64()
 		c.rngMu.Unlock()
 		d *= 1 + j*(u-0.5)

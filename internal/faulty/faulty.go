@@ -121,7 +121,8 @@ type InjectorConfig struct {
 	// transient error (after the latency has elapsed).
 	FailRate float64
 	// Seed seeds the injector's private RNG, making fault sequences
-	// reproducible.
+	// reproducible. The RNG is seeded on the first draw, which gives the
+	// same sequence as seeding it at construction.
 	Seed int64
 }
 
@@ -133,14 +134,18 @@ type Injector struct {
 	name    string
 	backend Backend
 
-	mu       sync.Mutex
-	rng      *rand.Rand
 	latency  time.Duration
 	failRate float64
 
+	// mu guards rng, which is seeded with seed on the first draw: only an
+	// injector with a positive FailRate ever draws, so a fault-free one
+	// never pays for a math/rand source.
+	mu   sync.Mutex
+	rng  *rand.Rand
+	seed int64
+
 	down atomic.Bool
 
-	calls    atomic.Uint64
 	failures atomic.Uint64
 
 	// sleep is the interruptible clock, replaceable in tests.
@@ -152,7 +157,7 @@ func NewInjector(name string, b Backend, cfg InjectorConfig) *Injector {
 	return &Injector{
 		name:     name,
 		backend:  b,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		seed:     cfg.Seed,
 		latency:  cfg.Latency,
 		failRate: cfg.FailRate,
 		sleep:    sleepCtx,
@@ -163,16 +168,8 @@ func NewInjector(name string, b Backend, cfg InjectorConfig) *Injector {
 // non-transient ErrUnavailable until the outage is lifted.
 func (in *Injector) SetDown(down bool) { in.down.Store(down) }
 
-// SetLatency changes the injected per-call latency.
-func (in *Injector) SetLatency(d time.Duration) {
-	in.mu.Lock()
-	in.latency = d
-	in.mu.Unlock()
-}
-
-// Calls and Failures report how many calls the injector served and how
-// many it failed (for asserting fault plans in tests).
-func (in *Injector) Calls() uint64    { return in.calls.Load() }
+// Failures reports how many calls the injector failed, outages included
+// (for asserting fault plans in tests).
 func (in *Injector) Failures() uint64 { return in.failures.Load() }
 
 // fail decides the fate of one call: latency to apply and the error to
@@ -181,18 +178,21 @@ func (in *Injector) fail(op string) (time.Duration, error) {
 	if in.down.Load() {
 		return 0, &SourceError{Source: in.name, Op: op, Transient: false, Err: ErrUnavailable}
 	}
-	in.mu.Lock()
-	d := in.latency
-	flaky := in.failRate > 0 && in.rng.Float64() < in.failRate
-	in.mu.Unlock()
-	if flaky {
-		return d, &SourceError{Source: in.name, Op: op, Transient: true, Err: ErrTransient}
+	if in.failRate > 0 {
+		in.mu.Lock()
+		if in.rng == nil {
+			in.rng = rand.New(rand.NewSource(in.seed))
+		}
+		flaky := in.rng.Float64() < in.failRate
+		in.mu.Unlock()
+		if flaky {
+			return in.latency, &SourceError{Source: in.name, Op: op, Transient: true, Err: ErrTransient}
+		}
 	}
-	return d, nil
+	return in.latency, nil
 }
 
 func (in *Injector) call(ctx context.Context, op string, eval func() tree.Tree) (tree.Tree, error) {
-	in.calls.Add(1)
 	if err := ctx.Err(); err != nil {
 		return tree.Tree{}, err
 	}

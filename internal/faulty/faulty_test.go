@@ -3,6 +3,7 @@ package faulty
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -130,15 +131,72 @@ func TestInjectorTransientAndOutage(t *testing.T) {
 		t.Fatalf("outage should be a non-transient ErrUnavailable, got %v", err)
 	}
 	in.SetDown(false)
-	if in.Calls() != 2 || in.Failures() != 2 {
-		t.Errorf("counters: calls=%d failures=%d", in.Calls(), in.Failures())
+	if b.served() != 0 || in.Failures() != 2 {
+		t.Errorf("counters: served=%d failures=%d", b.served(), in.Failures())
 	}
 	healthy := NewInjector("src", b, InjectorConfig{Seed: 1})
 	if _, err := healthy.Ask(context.Background(), query.Query{}); err != nil {
 		t.Fatalf("FailRate=0: %v", err)
 	}
-	if healthy.Calls() != 1 || healthy.Failures() != 0 {
-		t.Errorf("healthy counters: calls=%d failures=%d", healthy.Calls(), healthy.Failures())
+	if b.served() != 1 || healthy.Failures() != 0 {
+		t.Errorf("healthy counters: served=%d failures=%d", b.served(), healthy.Failures())
+	}
+}
+
+// The injector seeds its RNG on the first draw, so its fault sequence is
+// the one an RNG seeded at construction gives: over 10,000 calls it fails
+// exactly the calls such a reference picks.
+func TestInjectorFaultsFollowSeededReference(t *testing.T) {
+	const seed, rate, calls = 42, 0.3, 10000
+	in := NewInjector("src", &fakeBackend{}, InjectorConfig{FailRate: rate, Seed: seed})
+	ref := rand.New(rand.NewSource(seed))
+	failed := 0
+	for i := 0; i < calls; i++ {
+		_, err := in.Ask(context.Background(), query.Query{})
+		want := ref.Float64() < rate
+		if (err != nil) != want {
+			t.Fatalf("call %d: err = %v, reference fails it: %v", i, err, want)
+		}
+		if err != nil {
+			failed++
+		}
+	}
+	if in.Failures() != uint64(failed) || failed == 0 || failed == calls {
+		t.Errorf("failures = %d, counted %d of %d", in.Failures(), failed, calls)
+	}
+}
+
+// Retry jitter follows the same reference: each backoff draws the next
+// value of an RNG seeded with the configured seed.
+func TestJitterFollowsSeededReference(t *testing.T) {
+	const seed = 9
+	cfg := RetryConfig{BaseDelay: 100 * time.Millisecond, JitterFrac: 0.5, BreakerThreshold: -1, Seed: seed}
+	c := install(NewRetryClient(newFlaky(0), cfg), &instantClock{t: time.Unix(0, 0)})
+	ref := rand.New(rand.NewSource(seed))
+	for i := 0; i < 1000; i++ {
+		want := time.Duration(float64(100*time.Millisecond) * (1 + 0.5*(ref.Float64()-0.5)))
+		if got := c.backoff(1); got != want {
+			t.Fatalf("backoff %d = %v, reference %v", i, got, want)
+		}
+	}
+}
+
+// A fault-free injector never draws and a client that never retries never
+// backs off, so neither holds an RNG.
+func TestNoRNGWithoutDraws(t *testing.T) {
+	in := NewInjector("src", &fakeBackend{}, InjectorConfig{Seed: 1})
+	c := NewRetryClient(in, RetryConfig{Seed: 1})
+	for i := 0; i < 100; i++ {
+		if _, err := c.Ask(context.Background(), query.Query{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if in.rng != nil || c.rng != nil {
+		t.Errorf("RNG held without a draw: injector %v, client %v", in.rng != nil, c.rng != nil)
+	}
+	flaky := NewInjector("src", &fakeBackend{}, InjectorConfig{FailRate: 0.5, Seed: 1})
+	if _, err := flaky.Ask(context.Background(), query.Query{}); flaky.rng == nil {
+		t.Errorf("a flaky injector drew no RNG (err %v)", err)
 	}
 }
 

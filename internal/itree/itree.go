@@ -63,7 +63,7 @@ func New() *T {
 // mutated afterwards (mutate a Clone, which is unmarked).
 func (it *T) MarkTrimmed() *T {
 	if it.memo == nil {
-		it.memo = new(memo)
+		it.memo = &memo{id: snapshotIDs.Add(1)}
 	}
 	return it
 }

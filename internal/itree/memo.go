@@ -2,6 +2,7 @@ package itree
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"incxml/internal/tree"
 )
@@ -15,9 +16,15 @@ const MemoLimit = 4096
 
 // The memo kinds, declared here once so that no two packages storing on the
 // same tree collide. The first three hold the answer package's Corollary
-// 3.15/3.18 verdicts (bool); the last three the webhouse's local and
+// 3.15/3.18 verdicts (bool); the next three the webhouse's local and
 // extended answers and its certified answers: q(data(T)) with its full
 // certificate, stored only once the tree certifies q fully answerable.
+//
+// MemoScatter holds the shard cluster's merged scatter certificate, stored
+// on the first source's snapshot. It depends on the other sources'
+// snapshots too, so it widens Remember's contract: the value records the
+// ID of every snapshot and the certificate it was merged from, and every
+// Recall of it must check them against the answers at hand before using it.
 const (
 	MemoFully uint8 = iota
 	MemoCertainlyNonEmpty
@@ -25,8 +32,12 @@ const (
 	MemoLocal
 	MemoExtended
 	MemoCertified
+	MemoScatter
 	memoKinds
 )
+
+// snapshotIDs numbers the trees marked by MarkTrimmed.
+var snapshotIDs atomic.Uint64
 
 // memo holds the values computed about one marked tree. Every reader
 // between two folds shares the same marked tree, so a value stored here is
@@ -37,6 +48,8 @@ const (
 // query's key string is kept once per tree however many kinds are stored
 // under it.
 type memo struct {
+	id uint64 // see ID
+
 	mu sync.Mutex
 	m  map[string][memoKinds]any
 	n  int // values stored, bounded by MemoLimit
@@ -44,6 +57,16 @@ type memo struct {
 	// data is the tree's data tree, built once on first use (DataTree).
 	dataOnce sync.Once
 	data     tree.Tree
+}
+
+// ID identifies a tree marked by MarkTrimmed: no two marked trees of a
+// process share one, so a value can record which snapshot it was computed
+// from without keeping that snapshot alive. It is 0 on an unmarked tree.
+func (it *T) ID() uint64 {
+	if it.memo == nil {
+		return 0
+	}
+	return it.memo.id
 }
 
 // Recall returns the value of the given kind stored under key by Remember.

@@ -36,6 +36,19 @@ type Node struct {
 // Query is a ps-query ⟨t, λ, cond⟩.
 type Query struct {
 	Root *Node
+	// key is the canonical rendering stored by Keyed; empty on every other
+	// query, which String renders afresh.
+	key string
+}
+
+// Keyed returns q carrying its canonical key, so that String returns it
+// without rendering the pattern again. The pattern must not change
+// afterwards: the key is not recomputed, and a changed pattern would answer
+// under its old key in every memo. Keyed queries are meant to be shared
+// read-only, like the ones a server parses once per query text.
+func (q Query) Keyed() Query {
+	q.key = q.String()
+	return q
 }
 
 // N builds a pattern node with the given label, condition, and children.
@@ -239,7 +252,13 @@ func (q Query) Matches(t tree.Tree) bool {
 }
 
 // String renders the query in the indented textual syntax accepted by Parse.
+// The rendering is canonical (children in label order), so it is the key
+// every memo stores the query's answers under. A Keyed query returns its
+// stored key.
 func (q Query) String() string {
+	if q.key != "" {
+		return q.key
+	}
 	if q.Root == nil {
 		return "<empty query>"
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -344,5 +345,56 @@ func TestMultipleValuationsUnion(t *testing.T) {
 	}
 	if ids["a3"] {
 		t.Error("non-matching node included")
+	}
+}
+
+// randomQuery builds a random valid pattern over a small alphabet: up to
+// three levels of distinct-label children, random conditions, and bars on
+// some leaves.
+func randomQuery(r *rand.Rand) Query {
+	labels := []tree.Label{"a", "b", "c", "d"}
+	conds := []func() cond.Cond{
+		cond.True,
+		func() cond.Cond { return cond.LtInt(r.Int63n(100)) },
+		func() cond.Cond { return cond.EqInt(r.Int63n(100)).Or(cond.GtInt(r.Int63n(100))) },
+	}
+	var grow func(label tree.Label, depth int) *Node
+	grow = func(label tree.Label, depth int) *Node {
+		n := &Node{Label: label, Cond: conds[r.Intn(len(conds))]()}
+		if depth < 3 {
+			for _, i := range r.Perm(len(labels))[:r.Intn(3)] {
+				n.Children = append(n.Children, grow(labels[i], depth+1))
+			}
+		}
+		n.Extract = len(n.Children) == 0 && r.Intn(3) == 0
+		return n
+	}
+	return Query{Root: grow("root", 0)}
+}
+
+// A keyed query's String is its stored key, which equals a fresh rendering;
+// a Clone carries no key and renders the same text.
+func TestKeyedStringMatchesRendering(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		q := randomQuery(r)
+		if err := q.Validate(); err != nil {
+			t.Fatalf("generator built an invalid query: %v", err)
+		}
+		want := q.String()
+		k := q.Keyed()
+		if k.key != want || k.String() != want {
+			t.Fatalf("keyed %q, fresh rendering %q", k.String(), want)
+		}
+		if c := k.Clone(); c.key != "" || c.String() != want {
+			t.Fatalf("clone of a keyed query: key %q, rendering %q", c.key, c.String())
+		}
+		p, err := Parse(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.key != "" || p.Keyed().String() != want {
+			t.Fatalf("parsed %q renders %q", want, p.String())
+		}
 	}
 }

@@ -158,7 +158,7 @@ type ExtensionInfo struct {
 // unbudgeted request's worst case around a million masks.
 const maxVarsServed = 20
 
-func (e *ExtRequest) compile(req *request) error {
+func (e *ExtRequest) compile(req *request, _ *queryCache) error {
 	q, err := e.Query()
 	if err != nil {
 		return fmt.Errorf("bad extended query: %v", err)
@@ -169,7 +169,7 @@ func (e *ExtRequest) compile(req *request) error {
 
 // compile checks the formula against the served bounds and builds its
 // budgeted decider.
-func (rr *ReductionRequest) compile(req *request) error {
+func (rr *ReductionRequest) compile(req *request, _ *queryCache) error {
 	if rr.Kind != "3sat" && rr.Kind != "dnf" {
 		return fmt.Errorf("unknown reduction kind %q (supported: 3sat, dnf)", rr.Kind)
 	}

@@ -48,7 +48,7 @@ const maxBody = 1 << 20
 // ReductionRequest. compile validates a decoded value into the pipeline's
 // request; its error is the client's (a 400).
 type wireRequest interface {
-	compile(req *request) error
+	compile(req *request, queries *queryCache) error
 }
 
 // request is an answer request as decode hands it to a route's execute:
@@ -63,8 +63,8 @@ type request struct {
 	decide                     func(*budget.B) (budget.Tri, error)
 }
 
-func (a *AnswerRequest) compile(req *request) error {
-	q, err := query.Parse(a.Query)
+func (a *AnswerRequest) compile(req *request, queries *queryCache) error {
+	q, err := queries.parse(a.Query)
 	if err != nil {
 		return fmt.Errorf("bad query: %v", err)
 	}
@@ -74,11 +74,12 @@ func (a *AnswerRequest) compile(req *request) error {
 
 // decode is the pipeline's single request decoder: the version check, the
 // body limit, strict JSON with a trailing-data check — or the raw ps-query
-// text on routes that take it — and then the rules every route shares:
+// text on routes that take it — the query text through the server's parse
+// cache, and then the rules every route shares:
 // scatter routes reject a source, the others default it from ?source= and
 // then "catalog"; budgets are non-negative; a restated consistency level
 // must match the route. On failure it returns the status to answer with.
-func (rt *route) decode(w http.ResponseWriter, r *http.Request) (*request, int, error) {
+func (rt *route) decode(w http.ResponseWriter, r *http.Request, queries *queryCache) (*request, int, error) {
 	if err := apiVersion(r); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -105,7 +106,7 @@ func (rt *route) decode(w http.ResponseWriter, r *http.Request) (*request, int, 
 		}
 	}
 	req := &request{route: rt.name}
-	if err := wire.compile(req); err != nil {
+	if err := wire.compile(req, queries); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	switch {

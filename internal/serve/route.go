@@ -92,7 +92,7 @@ type outageAnswer struct {
 // body, attaches the step cap or chooses an error status.
 func (s *Server) pipeline(rt route) func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	return func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		req, status, err := rt.decode(w, r)
+		req, status, err := rt.decode(w, r, s.queries)
 		if err != nil {
 			writeError(w, status, err.Error(), 0)
 			return

@@ -148,6 +148,8 @@ type Server struct {
 	// reductionVerdicts counts /ext/reduction decider outcomes by kind
 	// ("3sat"/"dnf") and three-valued verdict.
 	reductionVerdicts *obs.CounterVec
+	// queries parses each distinct ps-query text once (querycache.go).
+	queries *queryCache
 
 	// draining flips once Drain starts: answer routes shed with 503 while
 	// /stats and /metrics stay up, so an orchestrator watching the drain
@@ -219,6 +221,7 @@ func New(cfg Config) (*Server, error) {
 		reductionVerdicts: reg.NewCounterVec("incxml_serve_reduction_verdicts_total",
 			"Reduction-decider verdicts served by /ext/reduction, by kind and three-valued verdict.",
 			"kind", "verdict"),
+		queries: newQueryCache(reg),
 	}
 	reg.GaugeFunc("incxml_serve_inflight",
 		"Handlers currently holding an execution slot.",
@@ -227,7 +230,10 @@ func New(cfg Config) (*Server, error) {
 	// 2...): the cluster derives each source's injector and retry seeds
 	// from Config.Seed plus its registration sequence number, preserving
 	// the fault sequences of the pre-sharding server.
-	cat, err := webhouse.NewSource("catalog", workload.CatalogType(), workload.PaperCatalog())
+	// The catalog sources share one parsed type: nothing writes to a
+	// dtd.Type once parsed (the refiners and validation only read it).
+	catType := workload.CatalogType()
+	cat, err := webhouse.NewSource("catalog", catType, workload.PaperCatalog())
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	for i := 0; i < cfg.ExtraSources; i++ {
 		src, err := webhouse.NewSource(fmt.Sprintf("cat%02d", i),
-			workload.CatalogType(), workload.RandomCatalog(4+i%5, cfg.Seed+int64(1000+i)))
+			catType, workload.RandomCatalog(4+i%5, cfg.Seed+int64(1000+i)))
 		if err != nil {
 			return nil, err
 		}

@@ -320,3 +320,19 @@ func BenchmarkServeLocalHit(b *testing.B) { benchPost(b, "/local") }
 // BenchmarkServeCompleteCertified is a /complete the knowledge certifies
 // (Corollary 3.15), served from the snapshot's certified answer.
 func BenchmarkServeCompleteCertified(b *testing.B) { benchPost(b, "/complete") }
+
+// BenchmarkServeScatterLocalHit is a /scatter/local whose per-source local
+// answers and merged certificate are all memo hits.
+func BenchmarkServeScatterLocalHit(b *testing.B) { benchPost(b, "/scatter/local") }
+
+// BenchmarkNew is the cold start of the served benchmark's fleet (the two
+// demonstration sources and four random catalogs on one shard): every
+// set-up, restart and recovery pays it once.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(Config{Seed: 7, ExtraSources: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

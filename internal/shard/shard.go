@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -65,7 +66,8 @@ func hashKey(key string) uint64 {
 
 // NewRing builds a ring over `shards` shards (minimum 1) with `replicas`
 // virtual points each (DefaultReplicas when <= 0). Rings are immutable and
-// deterministic: two rings with equal parameters agree on every key.
+// deterministic: two rings with equal parameters agree on every key. The
+// v-th point of shard s hashes the key "shard-<s>#<v>".
 func NewRing(shards, replicas int) *Ring {
 	if shards < 1 {
 		shards = 1
@@ -75,11 +77,9 @@ func NewRing(shards, replicas int) *Ring {
 	}
 	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*replicas)}
 	for s := 0; s < shards; s++ {
+		prefix := "shard-" + strconv.Itoa(s) + "#"
 		for v := 0; v < replicas; v++ {
-			r.points = append(r.points, ringPoint{
-				hash:  hashKey(fmt.Sprintf("shard-%d#%d", s, v)),
-				shard: s,
-			})
+			r.points = append(r.points, ringPoint{hash: hashKey(prefix + strconv.Itoa(v)), shard: s})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -481,6 +481,20 @@ func (sa SourceAnswer) Certificate() *certify.Certificate {
 	}
 }
 
+// Knowledge returns the knowledge snapshot the answer and its certificate
+// belong to (see webhouse.LocalAnswer and CompleteAnswer), or nil for a
+// hard-failed source and for an extended answer.
+func (sa SourceAnswer) Knowledge() *itree.T {
+	switch {
+	case sa.Complete != nil:
+		return sa.Complete.Knowledge
+	case sa.Local != nil:
+		return sa.Local.Knowledge
+	default:
+		return nil
+	}
+}
+
 // Degraded reports whether this answer is anything less than exact: a hard
 // failure, a flagged Theorem 3.14 approximation, or a budget-truncated
 // local or extended answer.
@@ -514,7 +528,8 @@ type Scatter struct {
 	// Certificate is the scatter-wide completeness certificate of
 	// ScatterLocal and ScatterComplete: the intersection of the per-source
 	// certified sub-queries (certify.Merge), with each source's own ratio in
-	// PerSource. A hard-failed source — a dead shard the degradation could
+	// PerSource. It is memoized per query and snapshot set and shared by
+	// every scatter that hits it: read-only. A hard-failed source — a dead shard the degradation could
 	// not soften — contributes nothing, so its atoms drop out of the
 	// complete sub-query. ScatterExtended leaves it nil: extended languages
 	// are not a strong representation system (Section 4), so per-source
@@ -545,31 +560,105 @@ func (c *Cluster) ScatterExtended(ctx context.Context, q extquery.Query) (*Scatt
 	return c.fanOut(ctx, extOp(ctx, q))
 }
 
+// testHookBeforeMerge, when set, runs between a certified scatter's fan-out
+// and its merge. Tests use it to replace a source's snapshot in that window.
+var testHookBeforeMerge func()
+
 // scatterCertified is fanOut plus the scatter-wide certificate of q.
 func (c *Cluster) scatterCertified(ctx context.Context, q query.Query, o op) (*Scatter, error) {
 	s, err := c.fanOut(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	// Merge the per-source certificates into the scatter-wide one. The merge
-	// re-verifies the intersected sub-query against each source's knowledge
-	// snapshot under its own bounded budget (the configured per-request
-	// steps, or a generous fallback), so a dead deadline or a stingy budget
-	// shrinks the certificate instead of overclaiming.
-	perSource := make(map[string]*certify.Certificate, len(s.Answers))
-	knows := make(map[string]*itree.T, len(s.Answers))
-	for _, sa := range s.Answers {
-		perSource[sa.Source] = sa.Certificate()
-		if know, err := c.Knowledge(sa.Source); err == nil {
+	if hook := testHookBeforeMerge; hook != nil {
+		hook()
+	}
+	s.Certificate = c.merge(ctx, q, s.Answers)
+	return s, nil
+}
+
+// mergedCertificate is a scatter-wide certificate memoized under
+// itree.MemoScatter on the first source's snapshot, with the inputs it was
+// merged from, one part per answer in answer order.
+type mergedCertificate struct {
+	parts []mergePart
+	cert  *certify.Certificate
+}
+
+// mergePart is one source's input to a merge: the ID of its knowledge
+// snapshot (an ID, not the snapshot, so the memo keeps no other source's
+// old snapshot alive) and its certificate. Every source has snapshots of
+// its own, so matching IDs also match the sources.
+type mergePart struct {
+	know uint64
+	cert *certify.Certificate
+}
+
+// matches reports whether the memoized merge was computed from exactly the
+// snapshots and certificates of answers.
+func (m *mergedCertificate) matches(answers []SourceAnswer) bool {
+	if len(m.parts) != len(answers) {
+		return false
+	}
+	for i, sa := range answers {
+		know := sa.Knowledge()
+		if know == nil || m.parts[i].know != know.ID() || m.parts[i].cert != sa.Certificate() {
+			return false
+		}
+	}
+	return true
+}
+
+// merge folds the per-source certificates of answers into the scatter-wide
+// one (certify.Merge), re-verifying against the snapshot each answer was
+// computed from. The merge re-verifies the intersected sub-query under its
+// own bounded budget (the configured per-request steps, or a generous
+// fallback), so a dead deadline or a stingy budget shrinks the certificate
+// instead of overclaiming.
+//
+// The result depends only on q and those snapshots and certificates, so it
+// is memoized on the first source's snapshot, under q's key. A recall is
+// used only when every source's snapshot and certificate are the ones it
+// was merged from. An Exhausted merge, or one with a dead source (no
+// certificate or no snapshot), is not stored.
+func (c *Cluster) merge(ctx context.Context, q query.Query, answers []SourceAnswer) *certify.Certificate {
+	var first *itree.T
+	if len(answers) > 0 {
+		first = answers[0].Knowledge()
+	}
+	key := q.String()
+	if first != nil {
+		if v, ok := first.Recall(itree.MemoScatter, key); ok {
+			if m := v.(*mergedCertificate); m.matches(answers) {
+				return m.cert
+			}
+		}
+	}
+	perSource := make(map[string]*certify.Certificate, len(answers))
+	knows := make(map[string]*itree.T, len(answers))
+	parts := make([]mergePart, len(answers))
+	storable := first != nil
+	for i, sa := range answers {
+		cert, know := sa.Certificate(), sa.Knowledge()
+		perSource[sa.Source] = cert
+		if know != nil {
 			knows[sa.Source] = know
 		}
+		if cert == nil || know == nil || know.ID() == 0 {
+			storable = false
+			continue
+		}
+		parts[i] = mergePart{know: know.ID(), cert: cert}
 	}
 	steps := c.cfg.Budget
 	if steps <= 0 {
 		steps = mergeFallbackSteps
 	}
-	s.Certificate = certify.Merge(q, perSource, knows, budget.New(ctx, steps))
-	return s, nil
+	merged := certify.Merge(q, perSource, knows, budget.New(ctx, steps))
+	if storable && !merged.Exhausted {
+		first.Remember(itree.MemoScatter, key, &mergedCertificate{parts: parts, cert: merged})
+	}
+	return merged
 }
 
 // fanOut is the scatter core every cluster-wide query shares. It snapshots

@@ -151,8 +151,8 @@ func TestServingSoundUnderTransientFaults(t *testing.T) {
 	if st.Attempts <= st.Retries {
 		t.Errorf("attempt accounting broken: %+v", st)
 	}
-	t.Logf("exact=%d degraded=%d stats=%+v injector: %d calls %d failures",
-		exact, degradedN, st, inj.Calls(), inj.Failures())
+	t.Logf("exact=%d degraded=%d stats=%+v injector: %d failures",
+		exact, degradedN, st, inj.Failures())
 }
 
 // A hard outage: AnswerComplete degrades to the flagged local
@@ -255,12 +255,20 @@ func TestExpiredContextRefusedEverywhere(t *testing.T) {
 // before the latency elapses, and AnswerComplete (whose degraded fallback
 // cannot run either once the deadline passed) surfaces it too.
 func TestDeadlineInterruptsSlowSource(t *testing.T) {
-	wh, _, inj, _ := flakyCatalog(t, workload.PaperCatalog(), 0, 1)
-	inj.SetLatency(5 * time.Second)
+	src, err := NewSource("catalog", workload.CatalogType(), workload.PaperCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh := New()
+	wh.Register(src)
+	inj := faulty.NewInjector(src.Name, src, faulty.InjectorConfig{Latency: 5 * time.Second, Seed: 1})
+	if err := wh.SetClient(src.Name, faulty.NewRetryClient(inj, fastRetry(1))); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := wh.Explore(ctx, "catalog", workload.Query1(200))
+	_, err = wh.Explore(ctx, "catalog", workload.Query1(200))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Explore under deadline: %v", err)
 	}

@@ -399,13 +399,15 @@ var errReset = errors.New("webhouse: knowledge reset since the snapshot")
 // fold is the tail every acquisition shares. It folds the answer a of q
 // into r (foldIn) and returns a as an exact answer: the snapshot's memoized
 // certified answer, which equals a, when the observation was redundant, and
-// otherwise a with a certificate built here, outside r's lock.
-func (wh *Webhouse) fold(ctx context.Context, r *Repository, from *refine.Refiner, q query.Query, a tree.Tree) (*ExactAnswer, error) {
-	redundant, err := wh.foldIn(ctx, r, from, q, a)
+// otherwise a with a certificate built here, outside r's lock. With
+// snapshot set it also returns the knowledge snapshot after the fold, which
+// the answer belongs to (see foldIn).
+func (wh *Webhouse) fold(ctx context.Context, r *Repository, from *refine.Refiner, q query.Query, a tree.Tree, snapshot bool) (*ExactAnswer, *itree.T, error) {
+	redundant, know, err := wh.foldIn(ctx, r, from, q, a, snapshot)
 	if err != nil || redundant != nil {
-		return redundant, err
+		return redundant, know, err
 	}
-	return &ExactAnswer{Answer: a, Certificate: certify.Exact(q, a)}, nil
+	return &ExactAnswer{Answer: a, Certificate: certify.Exact(q, a)}, know, nil
 }
 
 // foldIn, under r's write lock and the request's fold stage, folds the
@@ -416,11 +418,18 @@ func (wh *Webhouse) fold(ctx context.Context, r *Repository, from *refine.Refine
 // coarsens. A non-nil from is the refiner the caller's snapshot came from:
 // when Invalidate, Update, RestoreKnowledge or the inconsistency recovery
 // has replaced it since, nothing is folded and errReset is returned.
-func (wh *Webhouse) foldIn(ctx context.Context, r *Repository, from *refine.Refiner, q query.Query, a tree.Tree) (redundant *ExactAnswer, err error) {
+//
+// With snapshot set it also returns the knowledge snapshot after the fold,
+// read before r's lock is released, so no later fold can slip in between.
+// A completion asks for it, because a scatter merges the completion's
+// certificate against it (CompleteAnswer.Knowledge). An exploration does
+// not: after an informative fold that snapshot is a new compaction, which
+// the next reader builds anyway, and Explore would otherwise pay it itself.
+func (wh *Webhouse) foldIn(ctx context.Context, r *Repository, from *refine.Refiner, q query.Query, a tree.Tree, snapshot bool) (redundant *ExactAnswer, know *itree.T, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if from != nil && r.refiner != from {
-		return nil, errReset
+		return nil, nil, errReset
 	}
 	defer obs.FromContext(ctx).Stage("fold")(0)
 	redundant, degraded, err := r.foldLocked(q, a, func() *budget.B { return wh.newBudget(ctx) })
@@ -428,11 +437,14 @@ func (wh *Webhouse) foldIn(ctx context.Context, r *Repository, from *refine.Refi
 		wh.lossyFallbacks.Add(1)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	wh.journalRecord(JournalEvent{Kind: EventObserve, Source: r.Source.Name, Query: q, Answer: a,
 		Knowledge: r.refiner.Tree(), Steps: r.refiner.Steps(), Lossy: r.refiner.Lossy()})
-	return redundant, nil
+	if snapshot {
+		know = r.refiner.Reachable()
+	}
+	return redundant, know, nil
 }
 
 // Explore poses a ps-query to the source and folds the answer into the
@@ -458,7 +470,8 @@ func (wh *Webhouse) Explore(ctx context.Context, source string, q query.Query) (
 	if err != nil {
 		return nil, fmt.Errorf("webhouse: explore %q: %w", source, err)
 	}
-	return wh.fold(ctx, r, nil, q, a)
+	ex, _, err := wh.fold(ctx, r, nil, q, a, false)
+	return ex, err
 }
 
 // Knowledge returns the reachable incomplete tree for the source. The
@@ -555,6 +568,9 @@ type LocalAnswer struct {
 	// the certain-region summary. Never nil on answers built by the
 	// webhouse; read-only.
 	Certificate *certify.Certificate
+	// Knowledge is the snapshot the answer and its certificate were
+	// computed on.
+	Knowledge *itree.T
 }
 
 // memoAnswer is an answer kind memoized on the knowledge snapshot: a
@@ -656,7 +672,7 @@ func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Que
 		stepsUsed.Observe(used)
 		endStage(used)
 	}()
-	out = &LocalAnswer{}
+	out = &LocalAnswer{Knowledge: know}
 	var f answer.Local
 	tasks := []func(){
 		func() { out.Exact = q.Eval(know.DataTree()) },
@@ -787,6 +803,10 @@ type CompleteAnswer struct {
 	// certificate otherwise. Never nil on answers built by the webhouse;
 	// read-only.
 	Certificate *certify.Certificate
+	// Knowledge is the snapshot the answer belongs to: the one that
+	// certified it, the one the fold of the source's answer produced, or
+	// the one a degraded answer was computed on.
+	Knowledge *itree.T
 }
 
 // degrade falls back to the best locally-computable approximation after a
@@ -807,6 +827,7 @@ func (wh *Webhouse) degrade(ctx context.Context, know *itree.T, q query.Query, a
 		PossibleLossy: possibleLossy,
 		Cause:         cause,
 		Certificate:   la.Certificate,
+		Knowledge:     know,
 	}, nil
 }
 
@@ -822,11 +843,11 @@ func (wh *Webhouse) askWhole(ctx context.Context, r *Repository, client faulty.S
 		know, _ := r.snapshot()
 		return wh.degrade(ctx, know, q, 1, err)
 	}
-	ex, err := wh.fold(ctx, r, nil, q, a)
+	ex, after, err := wh.fold(ctx, r, nil, q, a, true)
 	if err != nil {
 		return nil, err
 	}
-	return &CompleteAnswer{Answer: ex.Answer, LocalQueries: 1, Certificate: ex.Certificate}, nil
+	return &CompleteAnswer{Answer: ex.Answer, LocalQueries: 1, Certificate: ex.Certificate, Knowledge: after}, nil
 }
 
 // AnswerComplete answers q exactly, contacting the source only as needed:
@@ -858,7 +879,7 @@ func (wh *Webhouse) AnswerComplete(ctx context.Context, source string, q query.Q
 		return nil, err
 	}
 	if ex != nil {
-		return &CompleteAnswer{Answer: ex.Answer, Certificate: ex.Certificate}, nil
+		return &CompleteAnswer{Answer: ex.Answer, Certificate: ex.Certificate, Knowledge: know}, nil
 	}
 	client := r.Client()
 	if know.DataTree().Root == nil {
@@ -880,9 +901,9 @@ func (wh *Webhouse) AnswerComplete(ctx context.Context, source string, q query.Q
 	// directly (with the usual recovery if the source changed since).
 	merged, err := mediator.Merge(know.DataTree(), answers...)
 	if err == nil {
-		var ex *ExactAnswer
-		if ex, err = wh.fold(ctx, r, base, q, q.Eval(merged)); err == nil {
-			return &CompleteAnswer{Answer: ex.Answer, LocalQueries: len(ls), Certificate: ex.Certificate}, nil
+		ex, after, err := wh.fold(ctx, r, base, q, q.Eval(merged), true)
+		if err == nil {
+			return &CompleteAnswer{Answer: ex.Answer, LocalQueries: len(ls), Certificate: ex.Certificate, Knowledge: after}, nil
 		}
 		if !errors.Is(err, errReset) {
 			return nil, err
